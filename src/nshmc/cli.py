@@ -26,7 +26,7 @@ from .diagnostics import HistogramSpec, acf, histogram_mse, snr, ssim
 from .integrators import LeapfrogConfig
 from .model import GGParams, gg_density, gg_direct_sample, gg_energy, quad_l1_energy
 from .pgm import PgmParseError, pgm_read, pgm_write
-from .samplers import SamplerConfig, run_chain
+from .samplers import DIVERGENCE_THRESHOLD, SamplerConfig, run_chain
 from .wavelet import WaveletOperator
 
 __all__ = ["cmd_exp1", "cmd_exp2", "cmd_exp3", "cmd_sample", "cmd_replay", "main"]
@@ -484,17 +484,19 @@ def _build_sampler(text: str, iterations: int, burn_in: int, seed: int) -> Sampl
     try:
         if name in ("nshmc1", "nshmc2"):
             eps = opts.pop("eps", 0.05)
-            lf = int(opts.pop("lf", 10))
+            lf = opts.pop("lf", 10.0)
             if opts:
                 raise UsageError(
                     f"unknown {name} options {sorted(opts)}; {_SAMPLER_HELP}"
                 )
+            if not lf.is_integer():
+                raise UsageError(f"lf must be a whole number of steps, got {lf}")
             return SamplerConfig(
                 kind=name,
                 iterations=iterations,
                 burn_in=burn_in,
                 seed=seed,
-                leapfrog=LeapfrogConfig(epsilon=eps, steps=lf),
+                leapfrog=LeapfrogConfig(epsilon=eps, steps=int(lf)),
             )
         if name in ("rwmh", "indmh"):
             std = opts.pop("std", 1.0)
@@ -523,7 +525,12 @@ def cmd_sample(
     burn_in: int = 0,
     dim: int = 1,
 ) -> dict:
-    """Run one chain on a named target and dump the retained samples."""
+    """Run one chain on a named target and dump the retained samples.
+
+    A chain that never moved is a valid run with an undefined (NaN) lag-1
+    autocorrelation, unless every HMC trajectory diverged, which is a
+    numeric failure.
+    """
     if dim < 1:
         raise UsageError(f"dim must be >= 1, got {dim}")
     out = _prepare_out_dir(out_dir)
@@ -531,6 +538,11 @@ def cmd_sample(
     energy = _build_target(target)
     config = _build_sampler(sampler, iterations, burn_in, seed)
     record = run_chain(np.zeros(dim), energy, config)
+    if record.divergent is not None and record.divergent.all():
+        raise ValueError(
+            f"every trajectory diverged (energy error above {DIVERGENCE_THRESHOLD:g} "
+            f"or not finite); try a smaller eps"
+        )
 
     kept = record.kept
     header = ["iteration"] + [f"x{i}" for i in range(dim)] + ["accepted"]
@@ -540,7 +552,8 @@ def cmd_sample(
     ]
     _write_csv(out / "chain.csv", header, rows)
 
-    lag1 = acf(kept[:, 0], 1)[1] if len(kept) > 2 else math.nan
+    moved = len(kept) > 2 and kept[:, 0].min() < kept[:, 0].max()
+    lag1 = acf(kept[:, 0], 1)[1] if moved else math.nan
     _write_manifest(
         out,
         "sample",
@@ -571,6 +584,17 @@ _COMMANDS = {
 }
 
 
+def _run_command(command: str, params: dict) -> dict:
+    """Check the seed, then run one of ``_COMMANDS`` with keyword params.
+
+    Both ``main`` and ``replay`` come through here.
+    """
+    seed = params.get("seed")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
+    return _COMMANDS[command](**params)
+
+
 def cmd_replay(manifest_path, out_dir=None) -> dict:
     """Rerun the command recorded in a manifest; outputs are bit-identical."""
     path = Path(manifest_path)
@@ -582,8 +606,8 @@ def cmd_replay(manifest_path, out_dir=None) -> dict:
     if command not in _COMMANDS:
         raise UsageError(f"manifest names unknown command {command!r}")
     params = dict(manifest.get("params", {}))
-    target_dir = Path(out_dir) if out_dir is not None else path.parent
-    return _COMMANDS[command](out_dir=target_dir, **params)
+    params["out_dir"] = Path(out_dir) if out_dir is not None else path.parent
+    return _run_command(command, params)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -643,57 +667,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        if args.command == "exp1":
-            cmd_exp1(
-                p=args.p,
-                lam=args.lam,
-                iterations=args.iterations,
-                seed=args.seed,
-                out_dir=args.out_dir,
-                eps=args.eps,
-                steps=args.steps,
-                burn_in=args.burn_in,
-                max_lag=args.max_lag,
-            )
-        elif args.command == "exp2":
-            cmd_exp2(
-                dim=args.dim,
-                p=args.p,
-                lam=args.lam,
-                iterations=args.iterations,
-                seed=args.seed,
-                out_dir=args.out_dir,
-                eps=args.eps,
-                steps=args.steps,
-                bins=args.bins,
-            )
-        elif args.command == "exp3":
-            cmd_exp3(
-                input_pgm=args.input_pgm,
-                noise_var=args.noise_var,
-                iterations=args.iterations,
-                burn_in=args.burn_in,
-                seed=args.seed,
-                out_dir=args.out_dir,
-                eps=args.eps,
-                steps=args.steps,
-                levels=args.levels,
-            )
-        elif args.command == "sample":
-            cmd_sample(
-                target=args.target,
-                sampler=args.sampler,
-                iterations=args.iterations,
-                seed=args.seed,
-                out_dir=args.out_dir,
-                burn_in=args.burn_in,
-                dim=args.dim,
-            )
+        if command == "replay":
+            cmd_replay(args["manifest"], args["out_dir"])
         else:
-            cmd_replay(args.manifest, args.out_dir)
+            # Each subparser's destinations are its command's parameter names.
+            _run_command(command, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

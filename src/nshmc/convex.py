@@ -6,8 +6,13 @@ unique minimizer of
     u  ->  f(u) + (u - x)^2 / 2.
 
 Closed forms are provided for the handful of energies the samplers need
-(weighted absolute value, power laws, absolute value plus a quadratic, and
-the shifted l1-plus-quadratic energy used for wavelet denoising).  A
+(weighted absolute value, absolute value plus a quadratic, and the shifted
+l1-plus-quadratic energy used for wavelet denoising).  The power law
+|u|**p / gamma has closed forms for p = 1, 3/2 and 2 (Chaux, Combettes,
+Pesquet & Wajs 2007, *A variational formulation for frame-based inverse
+problems*; Combettes & Pesquet 2011, *Proximal splitting methods in signal
+processing*, Table 10.2) and a safeguarded Newton solve for other
+exponents.  The operators take scalars or arrays and work elementwise.  A
 bracketing solver, Brent's method finished in 30-digit arithmetic, doubles
 as an independent check on every closed form.
 """
@@ -145,59 +150,97 @@ def prox_soft_threshold(x, t: float):
     return out
 
 
-def prox_power(x: float, gamma: float, p: float) -> float:
-    """Proximity operator of u -> |u|**p / gamma at a scalar x.
+def prox_power(x, gamma: float, p: float):
+    """Proximity operator of u -> |u|**p / gamma, elementwise.
 
-    p = 1 reduces to soft thresholding at 1/gamma and p = 2 has the linear
-    closed form gamma * x / (gamma + 2).  Any other exponent is solved
-    numerically (no further closed forms are special-cased): the minimizer
-    shares the sign of x, so the stationarity equation
+    The minimizer shares the sign of x, and its magnitude u is the root in
+    [0, |x|] of the stationarity equation
 
-        (p / gamma) * u**(p - 1) + u - |x| = 0
+        (p / gamma) * u**(p - 1) + u = |x|.
 
-    is solved on (0, |x|) by safeguarded Newton iteration.
+    Three exponents have closed forms (Chaux, Combettes, Pesquet & Wajs 2007;
+    Combettes & Pesquet 2011, Table 10.2), each evaluated without
+    cancellation.  With c = p / gamma:
+
+        p = 1    soft thresholding at 1 / gamma,
+        p = 2    gamma * x / (gamma + 2),
+        p = 3/2  the equation is quadratic in s = sqrt(u), so
+                 s = 2|x| / (c + sqrt(c**2 + 4|x|)) and u = s**2.
+
+    Every other exponent is solved coordinate by coordinate with a
+    safeguarded Newton iteration (``_power_stationary_point``).  Accepts
+    scalars or arrays; gamma, p and finiteness are checked once per call,
+    and a scalar input returns a float.
     """
     _check_power_params(gamma, p)
-    if not math.isfinite(x):
+    arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
         raise ValueError(f"x must be finite, got {x}")
     if p == 1.0:
-        return prox_soft_threshold(float(x), 1.0 / gamma)
+        return prox_soft_threshold(x, 1.0 / gamma)
+    a = np.abs(arr)
     if p == 2.0:
-        return gamma * x / (gamma + 2.0)
-    if x == 0.0:
-        return 0.0
-    r = _power_stationary_point(abs(x), gamma, p)
-    r = min(max(r, 0.0), abs(x))
-    return math.copysign(r, x)
+        out = gamma * arr / (gamma + 2.0)
+    elif p == 1.5:
+        # sqrt(c**2 + 4|x|) / 2 = hypot(c / 2, sqrt(|x|)), which cannot overflow.
+        k = 0.75 / gamma
+        s = a / (k + np.hypot(k, np.sqrt(a)))
+        out = np.copysign(s * s, arr)
+    else:
+        roots = [_power_stationary_point(v, gamma, p) for v in a.ravel().tolist()]
+        out = np.copysign(np.array(roots).reshape(a.shape), arr)
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
 
 
-def _power_stationary_point(x: float, gamma: float, p: float) -> float:
-    """Root of (p/gamma) u**(p-1) + u - x = 0 for x > 0, p > 1.
+def _power_stationary_point(a: float, gamma: float, p: float) -> float:
+    """Root u >= 0 of (p/gamma) u**(p-1) + u = a for a >= 0, p > 1.
 
-    The left side is increasing, negative at 0 and positive at x, so the
-    root lies in (0, x).  Newton steps are clipped back into the shrinking
-    bisection bracket, which keeps the iteration safe for every p.
+    The equation is solved for a variable in which it is convex: w = u for
+    p > 2, and w = u**(p-1) for p < 2, where it reads
+    (p/gamma) w + w**(1/(p-1)) = a.  Either way it has the form
+    lin * w + nonlin * w**r = a with r > 1, whose left side is convex and
+    increasing from 0.  Newton's method started above the root then
+    descends onto it without overshooting.  The start min(a / lin,
+    (a / nonlin)**(1/r)) bounds the root from above, since each term
+    alone is below a, and lies within a factor of two of it, so a few
+    steps suffice at any scale of a.  Steps that leave the bracket
+    established by the signs seen so far fall back to bisection, which
+    guards against rounding.  The stopping rule is relative: the iteration
+    ends once a step moves w by less than 1e-9 of its value, after which
+    quadratic convergence leaves only rounding error, so tiny roots are as
+    accurate as large ones.
     """
     c = p / gamma
-    lo, hi = 0.0, x
-    u = x / (1.0 + c)  # exact for p = 2, a decent start otherwise
+    if p < 2.0:
+        lin, nonlin, r = c, 1.0, 1.0 / (p - 1.0)
+    else:
+        lin, nonlin, r = 1.0, c, p - 1.0
+    w = min(a / lin, (a / nonlin) ** (1.0 / r))
+    lo, hi = 0.0, math.inf
     for _ in range(100):
-        h = c * u ** (p - 1.0) + u - x
+        h = lin * w + nonlin * w**r - a
         if h > 0.0:
-            hi = u
+            hi = w
         elif h < 0.0:
-            lo = u
+            lo = w
         else:
-            return u
-        slope = c * (p - 1.0) * u ** (p - 2.0) + 1.0
-        step = h / slope
-        nxt = u - step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - u) < 1e-15 * (1.0 + abs(u)):
-            return nxt
-        u = nxt
-    return u
+            break
+        step = h / (lin + nonlin * r * w ** (r - 1.0))
+        w -= step
+        if abs(step) <= 1e-9 * w:
+            break
+        if not lo < w < hi:
+            w = 0.5 * (lo + hi)
+    if p >= 2.0:
+        return min(w, a)
+    # w**r multiplies the rounding error of w by r; once u exceeds a / r,
+    # the identity u = a - c * w loses less.
+    u = w**r
+    if r * u > a:
+        u = a - lin * w
+    return min(u, a)
 
 
 def prox_quad_l1(x, a: float, b: float):

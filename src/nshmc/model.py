@@ -141,8 +141,11 @@ def gg_cdf(x, params: GGParams):
 def gg_energy(params: GGParams, dimension: int | None = None) -> PotentialEnergy:
     """Potential energy E(x) = sum_i |x_i|**p / gamma of an i.i.d. GG vector.
 
-    The proximity operator is applied coordinatewise.  For p = 1 the
-    subgradient sampler draws uniformly from [-1/gamma, 1/gamma] at zero
+    The proximity operator is applied coordinatewise by one array call:
+    soft thresholding for p = 1, and ``prox_power`` otherwise, which has
+    closed forms for p = 3/2 and 2 (Chaux, Combettes, Pesquet & Wajs 2007)
+    and a per-coordinate Newton solve for other exponents.  For p = 1
+    the subgradient sampler draws uniformly from [-1/gamma, 1/gamma] at zero
     coordinates; for p > 1 the subdifferential is the gradient singleton.
     An exact ``grad`` handle is only attached for even integer p, where the
     energy is smooth in the classical sense used by the plain integrator.
@@ -171,16 +174,8 @@ def gg_energy(params: GGParams, dimension: int | None = None) -> PotentialEnergy
         x = np.asarray(x, dtype=float)
         return (p / gamma) * np.sign(x) * np.abs(x) ** (p - 1.0)
 
-    if p == 2.0:
-
-        def prox(x):
-            return gamma * np.asarray(x, dtype=float) / (gamma + 2.0)
-
-    else:
-
-        def prox(x):
-            x = np.asarray(x, dtype=float)
-            return np.array([prox_power(xi, gamma, p) for xi in x])
+    def prox(x):
+        return prox_power(x, gamma, p)
 
     # For p > 1 the subdifferential is a singleton everywhere, so the
     # sampler is deterministic and the rng goes unused.

@@ -22,6 +22,7 @@ __all__ = [
     "SamplerConfig",
     "ChainRecord",
     "SAMPLER_KINDS",
+    "DIVERGENCE_THRESHOLD",
     "mh_accept",
     "nshmc_iteration",
     "rwmh_iteration",
@@ -31,6 +32,10 @@ __all__ = [
 
 SAMPLER_KINDS = ("nshmc1", "nshmc2", "rwmh", "indmh")
 _HMC_KINDS = ("nshmc1", "nshmc2")
+
+# An HMC trajectory whose energy error exceeds this, or is not finite, has
+# diverged (the threshold Stan uses; Betancourt 2017, section 6).
+DIVERGENCE_THRESHOLD = 1000.0
 
 
 @dataclass(frozen=True)
@@ -84,16 +89,27 @@ class ChainRecord:
 
     ``samples`` has one row per iteration (including burn-in);
     ``accepted`` flags which iterations moved; ``kept`` strips burn-in.
+    HMC chains also record each transition's ``energy_error``,
+    H(proposal) - H(current); it is None for the Metropolis kinds.
     """
 
     samples: np.ndarray
     accepted: np.ndarray
     acceptance_rate: float
     burn_in: int = 0
+    energy_error: np.ndarray | None = None
 
     @property
     def kept(self) -> np.ndarray:
         return self.samples[self.burn_in :]
+
+    @property
+    def divergent(self) -> np.ndarray | None:
+        """Flags the transitions whose energy error is not finite or exceeds
+        ``DIVERGENCE_THRESHOLD`` in size; None without energy errors."""
+        if self.energy_error is None:
+            return None
+        return ~(np.abs(self.energy_error) <= DIVERGENCE_THRESHOLD)
 
 
 def mh_accept(h_current: float, h_proposal: float, rng: np.random.Generator) -> bool:
@@ -117,8 +133,12 @@ def nshmc_iteration(
     energy: PotentialEnergy,
     config: SamplerConfig,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, bool]:
-    """One HMC transition: fresh momentum, leapfrog trajectory, Metropolis test."""
+) -> tuple[np.ndarray, bool, float]:
+    """One HMC transition: fresh momentum, leapfrog trajectory, Metropolis test.
+
+    Returns the next state, whether the proposal was accepted, and the
+    trajectory's energy error H(proposal) - H(current).
+    """
     if config.kind not in _HMC_KINDS:
         raise ValueError(f"nshmc_iteration got a non-HMC config kind {config.kind!r}")
     x = np.asarray(x, dtype=float)
@@ -129,8 +149,8 @@ def nshmc_iteration(
     h0 = hamiltonian_eval(start, energy)
     h1 = hamiltonian_eval(proposal, energy)
     if mh_accept(h0, h1, rng):
-        return proposal.position, True
-    return x, False
+        return proposal.position, True, h1 - h0
+    return x, False, h1 - h0
 
 
 def rwmh_iteration(
@@ -184,7 +204,8 @@ def run_chain(
 
     The generator is seeded from ``config.seed`` alone, so a rerun with the
     same config reproduces the chain bit for bit.  Rejected iterations
-    repeat the previous state.
+    repeat the previous state.  HMC kinds also record each transition's
+    energy error.
     """
     rng = np.random.default_rng(config.seed)
     x = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
@@ -198,14 +219,14 @@ def run_chain(
     n_iter = config.iterations
     samples = np.empty((n_iter, x.size))
     accepted = np.empty(n_iter, dtype=bool)
-    if config.kind in _HMC_KINDS:
-        step = lambda x: nshmc_iteration(x, energy, config, rng)
-    elif config.kind == "rwmh":
-        step = lambda x: rwmh_iteration(x, energy, config.proposal_std, rng)
-    else:
-        step = lambda x: indep_mh_iteration(x, energy, config.proposal_std, rng)
+    hmc = config.kind in _HMC_KINDS
+    energy_error = np.empty(n_iter) if hmc else None
+    mh_step = rwmh_iteration if config.kind == "rwmh" else indep_mh_iteration
     for r in range(n_iter):
-        x, ok = step(x)
+        if hmc:
+            x, ok, energy_error[r] = nshmc_iteration(x, energy, config, rng)
+        else:
+            x, ok = mh_step(x, energy, config.proposal_std, rng)
         samples[r] = x
         accepted[r] = ok
     return ChainRecord(
@@ -213,4 +234,5 @@ def run_chain(
         accepted=accepted,
         acceptance_rate=float(accepted.mean()),
         burn_in=config.burn_in,
+        energy_error=energy_error,
     )

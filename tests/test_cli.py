@@ -199,8 +199,8 @@ def test_main_file_errors_exit_3(tmp_path):
 
 
 def test_main_numeric_failure_exit_4(tmp_path):
-    # A step size of 1e300 overflows every trajectory, the chain never
-    # moves, and the lag-1 autocorrelation of the constant chain raises.
+    # A step size of 1e300 throws every trajectory out to |x| ~ 1e300, so
+    # every energy error is astronomically large: each trajectory diverged.
     code = main([
         "sample",
         "--sampler", "nshmc2:eps=1e300,lf=10",
@@ -216,3 +216,42 @@ def test_exp3_rejects_non_power_of_two_image(tmp_path):
     pgm_write(img, src)
     assert main(["exp3", "--input-pgm", str(src), "-n", "10", "--burn-in", "0",
                  "--out-dir", str(tmp_path)]) == 2
+
+
+def test_lf_must_be_whole(tmp_path):
+    d = str(tmp_path)
+    for lf in ("2.7", "inf", "nan"):
+        spec = f"nshmc2:eps=0.05,lf={lf}"
+        assert main(["sample", "--sampler", spec, "-n", "5", "--out-dir", d]) == 2
+    assert main(["sample", "--sampler", "nshmc1:eps=0.05,lf=3.0", "-n", "5",
+                 "--out-dir", d]) == 0
+
+
+def test_negative_seed_is_usage_error(tmp_path):
+    d = str(tmp_path / "neg")
+    assert main(["exp1", "-n", "100", "--seed", "-1", "--out-dir", d]) == 2
+    assert main(["exp2", "-n", "100", "--seed", "-1", "--out-dir", d]) == 2
+    assert main(["exp3", "-n", "2", "--burn-in", "0", "--seed", "-1",
+                 "--out-dir", d]) == 2
+    assert main(["sample", "-n", "5", "--seed", "-1", "--out-dir", d]) == 2
+
+    run = tmp_path / "run"
+    assert main(["sample", "-n", "5", "--seed", "3", "--out-dir", str(run)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["params"]["seed"] = -1
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest))
+    assert main(["replay", str(bad), "--out-dir", d]) == 2
+
+
+def test_sample_without_accepted_proposal_exits_0(tmp_path, capsys):
+    # From the origin at d = 64 every nshmc2 proposal is rejected (energy
+    # errors near 12, far from divergent), so the chain never moves.
+    code = main(["sample", "--target", "gg:p=1.5", "--dim", "64", "-n", "20",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert "lag-1 autocorrelation nan" in capsys.readouterr().out
+    header, rows = _read_csv(tmp_path / "chain.csv")
+    assert len(rows) == 20 and {r[-1] for r in rows} == {"0"}
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["params"]["dim"] == 64

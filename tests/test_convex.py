@@ -85,6 +85,61 @@ def test_prox_power_general_p_against_bisection():
         assert got == pytest.approx(math.copysign(r, x), abs=1e-10)
 
 
+def _mp_power_root(a, gamma, p):
+    """Root u of (p/gamma) u**(p-1) + u = a to 50 digits, by mpmath.findroot
+    on t = log(u), starting from the upper bound min(a, (a/c)**(1/(p-1)))."""
+    with mpmath.workdps(50):
+        a, p = mpmath.mpf(a), mpmath.mpf(p)
+        c = p / mpmath.mpf(gamma)
+        start = mpmath.log(min(a, (a / c) ** (1 / (p - 1))))
+        t = mpmath.findroot(
+            lambda t: (c * mpmath.exp((p - 1) * t) + mpmath.exp(t)) / a - 1, start
+        )
+        return mpmath.exp(t)
+
+
+def test_prox_power_relative_accuracy_near_zero():
+    # For p < 2 the root near x = 0 is (|x| gamma / p)**(1/(p-1)), far below
+    # |x|; an absolute stopping rule returns rounding noise there.
+    for gamma in (0.7, 3.0):
+        for p in (1.2, 1.5, 2.5, 3.0):
+            for mag in (1e-12, 1e-8, 1e-4, 1.0):
+                root = _mp_power_root(mag, gamma, p)
+                for x in (mag, -mag):
+                    got = prox_power(x, gamma, p)
+                    rel = abs((got - math.copysign(1, x) * root) / root)
+                    assert rel <= 1e-12, (gamma, p, x, got, root)
+
+
+@pytest.mark.filterwarnings("error")
+def test_prox_power_array_matches_scalar():
+    rng = np.random.default_rng(59)
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e12, -1e12])
+    shapes = [(), (1,), (16,), (3, 5), (2, 3, 4)]
+    for p in (1.0, 1.2, 1.5, 2.0, 2.5, 3.0):
+        gamma = float(rng.uniform(0.3, 4.0))
+        inputs = [special]
+        for shape in shapes:
+            inputs.append(rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape))
+        for x in inputs:
+            got = prox_power(x, gamma, p)
+            want = np.array([prox_power(float(v), gamma, p) for v in x.ravel()])
+            if x.ndim == 0:
+                assert type(got) is float
+                assert abs(got - want[0]) <= 4 * np.spacing(abs(want[0]))
+                continue
+            assert isinstance(got, np.ndarray) and got.shape == x.shape
+            want = want.reshape(x.shape)
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+        assert type(prox_power(np.float64(1.25), gamma, p)) is float
+        assert type(prox_power(2, gamma, p)) is float
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                prox_power(bad, gamma, p)
+            with pytest.raises(ValueError):
+                prox_power(np.array([[1.0, 2.0], [bad, 0.5]]), gamma, p)
+
+
 def test_prox_quad_l1_frozen_values():
     # Dead zone |x| <= a, then linear shrinkage by 1 + 2b.
     assert prox_quad_l1(0.5, 10.0, 5.0) == 0.0

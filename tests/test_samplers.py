@@ -310,6 +310,28 @@ def test_rejected_iterations_repeat_previous_state():
         assert np.array_equal(rec.samples[r], prev)
 
 
+def test_hmc_chain_records_energy_error_and_divergences():
+    cfg = SamplerConfig(
+        kind="nshmc2", iterations=300, seed=5, leapfrog=LeapfrogConfig(0.25, 10)
+    )
+    rec = run_chain(np.zeros(1), LAPLACE, cfg)
+    assert rec.energy_error.shape == (300,)
+    assert np.all(np.isfinite(rec.energy_error))
+    assert not rec.divergent.any()
+    # A proposal that does not raise the total energy is always accepted.
+    assert rec.accepted[rec.energy_error <= 0.0].all()
+    assert np.array_equal(rec.energy_error, run_chain(np.zeros(1), LAPLACE, cfg).energy_error)
+
+    wild = SamplerConfig(
+        kind="nshmc2", iterations=5, seed=5, leapfrog=LeapfrogConfig(1e300, 10)
+    )
+    rec = run_chain(np.zeros(1), LAPLACE, wild)
+    assert rec.divergent.all() and not rec.accepted.any()
+
+    mh = run_chain(np.zeros(1), LAPLACE, SamplerConfig(kind="rwmh", iterations=5))
+    assert mh.energy_error is None and mh.divergent is None
+
+
 def test_chain_record_kept_strips_burn_in():
     rec = ChainRecord(
         samples=np.arange(10.0).reshape(5, 2),
