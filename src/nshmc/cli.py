@@ -569,9 +569,10 @@ def cmd_sample(
         ["chain.csv"],
         t0,
     )
+    divergent = 0 if record.divergent is None else int(record.divergent.sum())
     print(
         f"sample: acceptance rate {record.acceptance_rate:.3f}, "
-        f"lag-1 autocorrelation {lag1:.3f}"
+        f"lag-1 autocorrelation {lag1:.3f}, divergent transitions {divergent}"
     )
     return {"out_dir": out, "record": record}
 

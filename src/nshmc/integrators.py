@@ -6,15 +6,19 @@ One step of size eps from (x, q) is
     x_new  = x + eps * q_half
     q_new  = q_half - eps/2 * force(x_new)
 
-where ``force`` depends on the scheme:
+where the force, or kick, depends on the scheme:
 
     smooth    exact gradient of E (requires a smooth energy),
     subgrad   an element drawn from the subdifferential of E,
     prox      the proximal residual x - prox_E(x).
 
-A trajectory is the plain composition of single steps, so the two half
-kicks that meet at an interior point stay separate operations rather than
-being merged into one full kick.
+``select_kick`` checks the energy's handles once per trajectory, and
+``leapfrog`` runs the trajectory in place on plain arrays.  It reuses the
+kick at the end of step k as the first half kick of step k + 1, so L steps
+take L + 1 kicks, not 2L; the two half kicks stay separate subtractions,
+so the arithmetic is that of L single steps composed.  A sampled
+subgradient is drawn once for both, which matters only at an interior
+position with a coordinate exactly on a kink.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ __all__ = [
     "SUBGRAD",
     "PROX",
     "LeapfrogConfig",
+    "select_kick",
+    "leapfrog",
     "leapfrog_smooth_step",
     "leapfrog_subgrad_step",
     "leapfrog_prox_step",
@@ -64,76 +70,70 @@ class LeapfrogConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
-def leapfrog_smooth_step(
-    state: PhaseState, energy: PotentialEnergy, epsilon: float
-) -> PhaseState:
+def select_kick(energy: PotentialEnergy, kind: str, rng=None):
+    """The force of scheme ``kind`` as a function of position; raises
+    CapabilityError when the energy lacks the scheme's handle."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown integrator kind {kind!r}; expected {_KINDS}")
+    handle = {SMOOTH: energy.grad, SUBGRAD: energy.subgrad, PROX: energy.prox}[kind]
+    if handle is None:
+        raise CapabilityError(f"{kind} leapfrog needs an energy with a {kind} handle")
+    if kind == SUBGRAD:
+        if rng is None:
+            raise ValueError("subgradient scheme needs an rng for its draws")
+        return lambda x: handle(x, rng)
+    if kind == PROX:
+        return lambda x: x - handle(x)
+    return handle
+
+
+def leapfrog(x: np.ndarray, q: np.ndarray, kick, epsilon: float, steps: int):
+    """Run ``steps`` leapfrog steps from (x, q), overwriting both float arrays.
+
+    Returns the final (x, q).  A kick that raises ValueError at a position
+    that is no longer finite ends the trajectory there, and the diverged
+    state is returned for the caller's Metropolis test to reject.
+    """
+    half = 0.5 * epsilon
+    force = kick(x)
+    try:
+        for _ in range(steps):
+            q -= half * force
+            x += epsilon * q
+            force = kick(x)
+            q -= half * force
+    except ValueError:
+        if np.isfinite(x).all():
+            raise
+    return x, q
+
+
+def _integrate(state, energy, epsilon, steps, kind, rng=None) -> PhaseState:
+    kick = select_kick(energy, kind, rng)
+    x, q = leapfrog(state.position.copy(), state.momentum.copy(), kick, epsilon, steps)
+    return PhaseState(x, q)
+
+
+def leapfrog_smooth_step(state: PhaseState, energy: PotentialEnergy, epsilon: float):
     """One leapfrog step driven by the exact gradient."""
-    if energy.grad is None:
-        raise CapabilityError("smooth leapfrog needs an energy with a gradient")
-    x, q = state.position, state.momentum
-    q = q - 0.5 * epsilon * energy.grad(x)
-    x = x + epsilon * q
-    q = q - 0.5 * epsilon * energy.grad(x)
-    return PhaseState(x, q)
+    return _integrate(state, energy, epsilon, 1, SMOOTH)
 
 
-def leapfrog_subgrad_step(
-    state: PhaseState,
-    energy: PotentialEnergy,
-    epsilon: float,
-    rng: np.random.Generator,
-) -> PhaseState:
-    """One leapfrog step kicked by sampled subgradients.
-
-    At points where the energy is differentiable the subdifferential is the
-    gradient singleton and this reproduces ``leapfrog_smooth_step`` exactly.
-    """
-    if energy.subgrad is None:
-        raise CapabilityError(
-            "subgradient leapfrog needs an energy with a subgradient sampler"
-        )
-    x, q = state.position, state.momentum
-    q = q - 0.5 * epsilon * energy.subgrad(x, rng)
-    x = x + epsilon * q
-    q = q - 0.5 * epsilon * energy.subgrad(x, rng)
-    return PhaseState(x, q)
+def leapfrog_subgrad_step(state: PhaseState, energy: PotentialEnergy, epsilon, rng):
+    """One leapfrog step kicked by sampled subgradients; where E is
+    differentiable this reproduces ``leapfrog_smooth_step`` exactly."""
+    return _integrate(state, energy, epsilon, 1, SUBGRAD, rng)
 
 
-def leapfrog_prox_step(
-    state: PhaseState, energy: PotentialEnergy, epsilon: float
-) -> PhaseState:
-    """One leapfrog step kicked by the proximal residual x - prox_E(x).
-
-    The residual is itself a subgradient of E evaluated at prox_E(x), so
-    this is a deterministic drop-in for the sampled subgradient kick.
-    """
-    if energy.prox is None:
-        raise CapabilityError("proximal leapfrog needs an energy with a prox handle")
-    x, q = state.position, state.momentum
-    q = q - 0.5 * epsilon * (x - energy.prox(x))
-    x = x + epsilon * q
-    q = q - 0.5 * epsilon * (x - energy.prox(x))
-    return PhaseState(x, q)
+def leapfrog_prox_step(state: PhaseState, energy: PotentialEnergy, epsilon: float):
+    """One leapfrog step kicked by the proximal residual x - prox_E(x), a
+    subgradient of E at prox_E(x) and so a deterministic drop-in for the
+    sampled one."""
+    return _integrate(state, energy, epsilon, 1, PROX)
 
 
 def integrate_trajectory(
-    state: PhaseState,
-    energy: PotentialEnergy,
-    config: LeapfrogConfig,
-    kind: str,
-    rng: np.random.Generator | None = None,
+    state: PhaseState, energy: PotentialEnergy, config: LeapfrogConfig, kind, rng=None
 ) -> PhaseState:
-    """Compose ``config.steps`` leapfrog steps of the requested scheme."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown integrator kind {kind!r}; expected one of {_KINDS}")
-    if kind == SUBGRAD and rng is None:
-        raise ValueError("subgradient scheme needs an rng for subdifferential draws")
-    eps = config.epsilon
-    for _ in range(config.steps):
-        if kind == SMOOTH:
-            state = leapfrog_smooth_step(state, energy, eps)
-        elif kind == SUBGRAD:
-            state = leapfrog_subgrad_step(state, energy, eps, rng)
-        else:
-            state = leapfrog_prox_step(state, energy, eps)
-    return state
+    """``config.steps`` leapfrog steps of the requested scheme."""
+    return _integrate(state, energy, config.epsilon, config.steps, kind, rng)

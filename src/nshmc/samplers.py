@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import PROX, SUBGRAD, LeapfrogConfig, integrate_trajectory
-from .model import PhaseState, PotentialEnergy, hamiltonian_eval
+from .integrators import PROX, SUBGRAD, LeapfrogConfig, leapfrog, select_kick
+from .model import PotentialEnergy
 
 __all__ = [
     "SamplerConfig",
@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 SAMPLER_KINDS = ("nshmc1", "nshmc2", "rwmh", "indmh")
-_HMC_KINDS = ("nshmc1", "nshmc2")
+_HMC_SCHEMES = {"nshmc1": SUBGRAD, "nshmc2": PROX}
 
 # An HMC trajectory whose energy error exceeds this, or is not finite, has
 # diverged (the threshold Stan uses; Betancourt 2017, section 6).
@@ -67,7 +67,7 @@ class SamplerConfig:
                 f"burn_in must lie in [0, iterations), got {self.burn_in} "
                 f"with iterations {self.iterations}"
             )
-        if self.kind in _HMC_KINDS:
+        if self.kind in _HMC_SCHEMES:
             if self.proposal_std is not None:
                 raise ValueError(f"proposal_std does not apply to kind {self.kind!r}")
             if self.leapfrog is None:
@@ -139,18 +139,35 @@ def nshmc_iteration(
     Returns the next state, whether the proposal was accepted, and the
     trajectory's energy error H(proposal) - H(current).
     """
-    if config.kind not in _HMC_KINDS:
+    if config.kind not in _HMC_SCHEMES:
         raise ValueError(f"nshmc_iteration got a non-HMC config kind {config.kind!r}")
-    x = np.asarray(x, dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    kick = select_kick(energy, _HMC_SCHEMES[config.kind], rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, _, ok, error = _hmc_transition(
+            x, float(energy.value(x)), energy, kick, config.leapfrog, rng
+        )
+    return x, ok, error
+
+
+def _hmc_transition(x, e, energy, kick, leapfrog_config, rng):
+    """One HMC transition from x, whose potential energy e is known.
+
+    Returns the next state, its energy, whether the proposal was accepted,
+    and the energy error.  A proposal whose H is NaN (a diverged
+    trajectory) is given H = inf, so it is rejected after the uniform draw
+    and the stream of draws is the same as for any other rejection.
+    """
     q = rng.standard_normal(x.size)
-    start = PhaseState(x, q)
-    scheme = SUBGRAD if config.kind == "nshmc1" else PROX
-    proposal = integrate_trajectory(start, energy, config.leapfrog, scheme, rng)
-    h0 = hamiltonian_eval(start, energy)
-    h1 = hamiltonian_eval(proposal, energy)
+    h0 = e + 0.5 * float(q @ q)
+    xp, qp = leapfrog(x.copy(), q, kick, leapfrog_config.epsilon, leapfrog_config.steps)
+    ep = float(energy.value(xp))
+    h1 = ep + 0.5 * float(qp @ qp)
+    if math.isnan(h1):
+        h1 = math.inf
     if mh_accept(h0, h1, rng):
-        return proposal.position, True, h1 - h0
-    return x, False, h1 - h0
+        return xp, ep, True, h1 - h0
+    return x, e, False, h1 - h0
 
 
 def rwmh_iteration(
@@ -204,8 +221,10 @@ def run_chain(
 
     The generator is seeded from ``config.seed`` alone, so a rerun with the
     same config reproduces the chain bit for bit.  Rejected iterations
-    repeat the previous state.  HMC kinds also record each transition's
-    energy error.
+    repeat the previous state.  HMC kinds pick their kick once, carry the
+    potential energy of the current state from one transition to the next,
+    record each transition's energy error, and reject diverged trajectories
+    (non-finite H) instead of failing.
     """
     rng = np.random.default_rng(config.seed)
     x = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
@@ -216,19 +235,27 @@ def run_chain(
             f"initial state dimension {x.size} does not match energy "
             f"dimension {energy.dimension}"
         )
+    if not np.isfinite(x).all():
+        raise ValueError(f"initial state must be finite, got {x}")
     n_iter = config.iterations
     samples = np.empty((n_iter, x.size))
     accepted = np.empty(n_iter, dtype=bool)
-    hmc = config.kind in _HMC_KINDS
-    energy_error = np.empty(n_iter) if hmc else None
-    mh_step = rwmh_iteration if config.kind == "rwmh" else indep_mh_iteration
-    for r in range(n_iter):
-        if hmc:
-            x, ok, energy_error[r] = nshmc_iteration(x, energy, config, rng)
-        else:
-            x, ok = mh_step(x, energy, config.proposal_std, rng)
-        samples[r] = x
-        accepted[r] = ok
+    energy_error = None
+    if config.kind in _HMC_SCHEMES:
+        energy_error = np.empty(n_iter)
+        kick = select_kick(energy, _HMC_SCHEMES[config.kind], rng)
+        e = float(energy.value(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(n_iter):
+                x, e, accepted[r], energy_error[r] = _hmc_transition(
+                    x, e, energy, kick, config.leapfrog, rng
+                )
+                samples[r] = x
+    else:
+        mh_step = rwmh_iteration if config.kind == "rwmh" else indep_mh_iteration
+        for r in range(n_iter):
+            x, accepted[r] = mh_step(x, energy, config.proposal_std, rng)
+            samples[r] = x
     return ChainRecord(
         samples=samples,
         accepted=accepted,

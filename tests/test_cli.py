@@ -1,6 +1,7 @@
 """Command-line interface: outputs, manifests, replay, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -255,3 +256,18 @@ def test_sample_without_accepted_proposal_exits_0(tmp_path, capsys):
     assert len(rows) == 20 and {r[-1] for r in rows} == {"0"}
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["params"]["dim"] == 64
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_divergences_are_rejections(tmp_path, capsys):
+    # At eps = 2 the p = 3 gradient kick overflows on most trajectories.
+    # Each diverged trajectory is a rejected proposal, so the chain is kept.
+    code = main(["sample", "--target", "gg:p=3", "--sampler", "nshmc1:eps=2,lf=10",
+                 "-n", "200", "--out-dir", str(tmp_path)])
+    assert code == 0
+    divergent = int(re.search(r"divergent transitions (\d+)", capsys.readouterr().out)[1])
+    assert 0 < divergent < 200
+    header, rows = _read_csv(tmp_path / "chain.csv")
+    assert len(rows) == 200
+    assert np.isfinite([float(r[1]) for r in rows]).all()
+    assert (tmp_path / "manifest.json").is_file()

@@ -12,14 +12,17 @@ import pytest
 from scipy.stats import kstest
 
 from nshmc.diagnostics import acf
-from nshmc.integrators import LeapfrogConfig
+from nshmc.integrators import PROX, SUBGRAD, LeapfrogConfig, integrate_trajectory
 from nshmc.model import (
     GGParams,
+    PhaseState,
     PotentialEnergy,
     gg_cdf,
     gg_density,
     gg_direct_sample,
     gg_energy,
+    hamiltonian_eval,
+    quad_l1_energy,
 )
 from nshmc.samplers import (
     SAMPLER_KINDS,
@@ -330,6 +333,91 @@ def test_hmc_chain_records_energy_error_and_divergences():
 
     mh = run_chain(np.zeros(1), LAPLACE, SamplerConfig(kind="rwmh", iterations=5))
     assert mh.energy_error is None and mh.divergent is None
+
+
+def _reference_chain(initial, energy, config):
+    """An HMC chain composed step by step from the public pieces: one
+    PhaseState per transition, ``integrate_trajectory``, two
+    ``hamiltonian_eval`` calls and ``mh_accept``."""
+    rng = np.random.default_rng(config.seed)
+    scheme = SUBGRAD if config.kind == "nshmc1" else PROX
+    x = np.array(initial, dtype=float)
+    samples, accepted, errors = [], [], []
+    for _ in range(config.iterations):
+        start = PhaseState(x, rng.standard_normal(x.size))
+        proposal = integrate_trajectory(start, energy, config.leapfrog, scheme, rng)
+        h0 = hamiltonian_eval(start, energy)
+        h1 = hamiltonian_eval(proposal, energy)
+        ok = mh_accept(h0, h1, rng)
+        if ok:
+            x = proposal.position
+        samples.append(x)
+        accepted.append(ok)
+        errors.append(h1 - h0)
+    return np.array(samples), np.array(accepted), np.array(errors)
+
+
+@pytest.mark.parametrize(
+    "kind, energy, dim",
+    [("nshmc2", gg_energy(GGParams(1.3, p)), d) for p in (1.0, 1.2, 1.5) for d in (1, 4)]
+    + [("nshmc1", quad_l1_energy(2.0, 0.5), d) for d in (1, 4)],
+)
+def test_run_chain_matches_reference_chain(kind, energy, dim):
+    # Same arithmetic and same draws: equal bit for bit, including the
+    # subgradient draws at the origin where every nshmc1 chain starts.
+    cfg = SamplerConfig(kind=kind, iterations=200, seed=9, leapfrog=LeapfrogConfig(0.2, 10))
+    rec = run_chain(np.zeros(dim), energy, cfg)
+    samples, accepted, errors = _reference_chain(np.zeros(dim), energy, cfg)
+    assert 0 < accepted.sum() < 200
+    assert np.array_equal(rec.samples, samples)
+    assert np.array_equal(rec.accepted, accepted)
+    assert np.array_equal(rec.energy_error, errors)
+
+
+@pytest.mark.parametrize("kind, kick", [("nshmc2", "prox"), ("nshmc1", "subgrad")])
+def test_hmc_chain_kick_and_energy_counts(kind, kick):
+    # L + 1 kicks per L-step trajectory, and one energy evaluation per
+    # transition plus one for the initial state.
+    base = gg_energy(GGParams(1.0, 1.5))
+    calls = {"value": 0, kick: 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    energy = PotentialEnergy(
+        value=counted("value", base.value), **{kick: counted(kick, getattr(base, kick))}
+    )
+    n = 30
+    cfg = SamplerConfig(kind=kind, iterations=n, seed=2, leapfrog=LeapfrogConfig(0.1, 10))
+    run_chain(np.zeros(3), energy, cfg)
+    assert calls == {"value": n + 1, kick: 11 * n}
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverging_trajectory_is_a_rejection():
+    # At eps = 1e200 the momentum overflows and the position follows; the
+    # p = 3/2 prox refuses the non-finite position.  Every transition is a
+    # divergent rejection, drawn and recorded, and the chain stays put.
+    cfg = SamplerConfig(kind="nshmc2", iterations=20, seed=4, leapfrog=LeapfrogConfig(1e200, 10))
+    rec = run_chain(np.zeros(2), gg_energy(GGParams(1.0, 1.5)), cfg)
+    assert rec.divergent.all() and not rec.accepted.any()
+    assert np.array_equal(rec.samples, np.zeros((20, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, ok, error = nshmc_iteration(
+            np.ones(2), gg_energy(GGParams(1.0, 3.0)), cfg, np.random.default_rng(0)
+        )
+    assert not ok and np.array_equal(x, np.ones(2)) and error == math.inf
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_run_chain_rejects_non_finite_initial_state(kind):
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            run_chain(np.array([bad]), LAPLACE, SamplerConfig(kind=kind, iterations=3))
 
 
 def test_chain_record_kept_strips_burn_in():
