@@ -35,6 +35,7 @@ __all__ = [
     "subgrad_abs_sample",
     "prox_soft_threshold",
     "prox_power",
+    "power_residual",
     "prox_quad_l1",
     "prox_denoise_energy",
     "prox_numeric_oracle",
@@ -178,20 +179,60 @@ def prox_power(x, gamma: float, p: float):
         raise ValueError(f"x must be finite, got {x}")
     if p == 1.0:
         return prox_soft_threshold(x, 1.0 / gamma)
-    a = np.abs(arr)
     if p == 2.0:
         out = gamma * arr / (gamma + 2.0)
     elif p == 1.5:
-        # sqrt(c**2 + 4|x|) / 2 = hypot(c / 2, sqrt(|x|)), which cannot overflow.
-        k = 0.75 / gamma
-        s = a / (k + np.hypot(k, np.sqrt(a)))
+        s = _sqrt_prox_p32(np.abs(arr), gamma)
         out = np.copysign(s * s, arr)
     else:
-        roots = [_power_stationary_point(v, gamma, p) for v in a.ravel().tolist()]
-        out = np.copysign(np.array(roots).reshape(a.shape), arr)
+        out = np.copysign(_power_roots(np.abs(arr), gamma, p), arr)
     if np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def power_residual(x, gamma: float, p: float):
+    """x - prox_power(x, gamma, p), computed without the subtraction.
+
+    The residual is the gradient of the Moreau envelope of |u|**p / gamma
+    (Durmus, Moulines & Pereyra 2018, section 3) and the kick of the
+    proximal leapfrog.  By the stationarity equation it equals
+    (p / gamma) * sign(x) * u**(p - 1), with u the magnitude of the prox:
+
+        p = 1    clip(x, -1/gamma, 1/gamma),
+        p = 2    2 x / (gamma + 2),
+        p = 3/2  (3 / (2 gamma)) * sign(x) * s, with s = sqrt(u) from the
+                 closed form of ``prox_power``,
+        other p  (p / gamma) * sign(x) * u**(p - 1) from the Newton root u.
+
+    Unlike the subtraction this stays accurate where the residual is far
+    below |x|: at p = 1 and |x| = 1e300, x - prox(x) is 0, not 1 / gamma.
+    Being a per-step kick, it skips ``prox_power``'s checks: gamma and p
+    are taken as valid, and a non-finite x raises no error.  Returns an
+    array.
+    """
+    if p == 1.0:
+        t = 1.0 / gamma
+        return np.minimum(np.maximum(x, -t), t)
+    if p == 2.0:
+        return 2.0 * np.asarray(x, dtype=float) / (gamma + 2.0)
+    a = np.abs(x)
+    if p == 1.5:
+        return np.copysign((1.5 / gamma) * _sqrt_prox_p32(a, gamma), x)
+    return np.copysign((p / gamma) * _power_roots(a, gamma, p) ** (p - 1.0), x)
+
+
+def _sqrt_prox_p32(a, gamma: float):
+    """s = sqrt(|prox_power(x, gamma, 3/2)|) for a = |x|."""
+    # sqrt(c**2 + 4|x|) / 2 = hypot(c / 2, sqrt(|x|)), which cannot overflow.
+    k = 0.75 / gamma
+    return a / (k + np.hypot(k, np.sqrt(a)))
+
+
+def _power_roots(a, gamma: float, p: float) -> np.ndarray:
+    """``_power_stationary_point`` at every element of the array a >= 0."""
+    roots = [_power_stationary_point(v, gamma, p) for v in np.ravel(a).tolist()]
+    return np.array(roots).reshape(np.shape(a))
 
 
 def _power_stationary_point(a: float, gamma: float, p: float) -> float:

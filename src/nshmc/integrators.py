@@ -75,15 +75,14 @@ def select_kick(energy: PotentialEnergy, kind: str, rng=None):
     CapabilityError when the energy lacks the scheme's handle."""
     if kind not in _KINDS:
         raise ValueError(f"unknown integrator kind {kind!r}; expected {_KINDS}")
-    handle = {SMOOTH: energy.grad, SUBGRAD: energy.subgrad, PROX: energy.prox}[kind]
+    handles = {SMOOTH: energy.grad, SUBGRAD: energy.subgrad, PROX: energy.residual}
+    handle = handles[kind]
     if handle is None:
         raise CapabilityError(f"{kind} leapfrog needs an energy with a {kind} handle")
     if kind == SUBGRAD:
         if rng is None:
             raise ValueError("subgradient scheme needs an rng for its draws")
         return lambda x: handle(x, rng)
-    if kind == PROX:
-        return lambda x: x - handle(x)
     return handle
 
 

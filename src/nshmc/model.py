@@ -24,7 +24,13 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .convex import prox_power, prox_quad_l1, prox_soft_threshold, subgrad_abs_sample
+from .convex import (
+    power_residual,
+    prox_power,
+    prox_quad_l1,
+    prox_soft_threshold,
+    subgrad_abs_sample,
+)
 
 __all__ = [
     "CapabilityError",
@@ -106,6 +112,8 @@ class PotentialEnergy:
     subgrad      (x, rng) -> a sampled element of the subdifferential.
     prox         proximity operator of the full energy.
     dimension    fixed N, or None for separable energies usable at any N.
+    residual     x - prox(x), the kick of the proximal leapfrog; when not
+                 given and prox is, it is that subtraction.
     """
 
     value: Callable[[np.ndarray], float]
@@ -113,6 +121,12 @@ class PotentialEnergy:
     subgrad: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None
     prox: Callable[[np.ndarray], np.ndarray] | None = None
     dimension: int | None = None
+    residual: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.residual is None and self.prox is not None:
+            prox = self.prox
+            object.__setattr__(self, "residual", lambda x: x - prox(x))
 
 
 def gg_density(x, params: GGParams):
@@ -144,13 +158,18 @@ def gg_energy(params: GGParams, dimension: int | None = None) -> PotentialEnergy
     The proximity operator is applied coordinatewise by one array call:
     soft thresholding for p = 1, and ``prox_power`` otherwise, which has
     closed forms for p = 3/2 and 2 (Chaux, Combettes, Pesquet & Wajs 2007)
-    and a per-coordinate Newton solve for other exponents.  For p = 1
-    the subgradient sampler draws uniformly from [-1/gamma, 1/gamma] at zero
-    coordinates; for p > 1 the subdifferential is the gradient singleton.
+    and a per-coordinate Newton solve for other exponents.  The prox kick
+    ``residual`` comes from ``power_residual``, without the subtraction
+    x - prox(x).  For p = 1 the subgradient sampler draws uniformly from
+    [-1/gamma, 1/gamma] at zero coordinates; for p > 1 the subdifferential
+    is the gradient singleton.
     An exact ``grad`` handle is only attached for even integer p, where the
     energy is smooth in the classical sense used by the plain integrator.
     """
     gamma, p = params.gamma, params.p
+
+    def residual(x):
+        return power_residual(x, gamma, p)
 
     if p == 1.0:
 
@@ -164,7 +183,11 @@ def gg_energy(params: GGParams, dimension: int | None = None) -> PotentialEnergy
             return np.asarray(subgrad_abs_sample(x, rng)) / gamma
 
         return PotentialEnergy(
-            value=value, subgrad=subgrad, prox=prox, dimension=dimension
+            value=value,
+            subgrad=subgrad,
+            prox=prox,
+            dimension=dimension,
+            residual=residual,
         )
 
     def value(x):
@@ -184,7 +207,12 @@ def gg_energy(params: GGParams, dimension: int | None = None) -> PotentialEnergy
 
     grad = gradient if (p == int(p) and int(p) % 2 == 0) else None
     return PotentialEnergy(
-        value=value, grad=grad, subgrad=subgrad, prox=prox, dimension=dimension
+        value=value,
+        grad=grad,
+        subgrad=subgrad,
+        prox=prox,
+        dimension=dimension,
+        residual=residual,
     )
 
 

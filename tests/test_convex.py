@@ -17,6 +17,7 @@ from nshmc.convex import (
     custom_fn,
     power_fn,
     prox_denoise_energy,
+    power_residual,
     prox_numeric_oracle,
     prox_power,
     prox_quad_l1,
@@ -138,6 +139,31 @@ def test_prox_power_array_matches_scalar():
                 prox_power(bad, gamma, p)
             with pytest.raises(ValueError):
                 prox_power(np.array([[1.0, 2.0], [bad, 0.5]]), gamma, p)
+
+
+def test_power_residual_at_huge_x_is_one_over_gamma():
+    # x - prox(x) cancels to exactly 0 here; the residual is sign(x) / gamma.
+    for gamma in (0.7, 1.0, 3.0):
+        x = np.array([1e300, -1e300])
+        assert np.array_equal(x - prox_power(x, gamma, 1.0), [0.0, 0.0])
+        assert np.array_equal(power_residual(x, gamma, 1.0), [1 / gamma, -1 / gamma])
+
+
+@pytest.mark.filterwarnings("error")
+def test_power_residual_matches_subtraction():
+    # On a moderate grid the subtraction is accurate to an ulp or two of x,
+    # and the direct residual agrees with it to that scale; it is also odd.
+    g = np.geomspace(1e-3, 1e3, 301)
+    x = np.concatenate([-g, g, [0.0, -0.0]])
+    for gamma in (0.3, 1.0, 3.0):
+        for p in (1.0, 1.2, 1.5, 2.0, 3.0):
+            got = power_residual(x, gamma, p)
+            want = x - prox_power(x, gamma, p)
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(x))), (gamma, p)
+            assert np.array_equal(power_residual(-x, gamma, p), -got)
+    with np.errstate(invalid="ignore"):
+        for p in (1.2, 1.5, 3.0):
+            assert np.isnan(power_residual(np.array([math.nan]), 1.0, p)).all()
 
 
 def test_prox_quad_l1_frozen_values():

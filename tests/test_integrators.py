@@ -67,6 +67,13 @@ def test_prox_step_frozen():
     assert out.position[0] == pytest.approx(0.4975, abs=1e-15)
 
 
+def test_prox_step_kick_far_from_origin():
+    # At |x| = 1e300 the residual is still sign(x) / gamma = 1, although
+    # x - prox(x) rounds to 0 there.
+    out = leapfrog_prox_step(PhaseState([1e300], [0.0]), LAPLACE, 0.1)
+    assert out.momentum[0] == pytest.approx(-0.1, abs=1e-15)
+
+
 def test_prox_step_origin_fixed_point():
     for energy in (LAPLACE, HALF_GAUSS, quad_l1_energy(2.0, 2.0)):
         out = leapfrog_prox_step(PhaseState([0.0], [0.0]), energy, 0.2)

@@ -359,13 +359,16 @@ def _reference_chain(initial, energy, config):
 
 @pytest.mark.parametrize(
     "kind, energy, dim",
-    [("nshmc2", gg_energy(GGParams(1.3, p)), d) for p in (1.0, 1.2, 1.5) for d in (1, 4)]
+    [("nshmc2", gg_energy(GGParams(1.3, p)), d) for p in (1.0, 1.2, 1.5)
+     for d in (1, 4)]
     + [("nshmc1", quad_l1_energy(2.0, 0.5), d) for d in (1, 4)],
 )
 def test_run_chain_matches_reference_chain(kind, energy, dim):
     # Same arithmetic and same draws: equal bit for bit, including the
     # subgradient draws at the origin where every nshmc1 chain starts.
-    cfg = SamplerConfig(kind=kind, iterations=200, seed=9, leapfrog=LeapfrogConfig(0.2, 10))
+    cfg = SamplerConfig(
+        kind=kind, iterations=200, seed=9, leapfrog=LeapfrogConfig(0.2, 10)
+    )
     rec = run_chain(np.zeros(dim), energy, cfg)
     samples, accepted, errors = _reference_chain(np.zeros(dim), energy, cfg)
     assert 0 < accepted.sum() < 200
@@ -392,7 +395,9 @@ def test_hmc_chain_kick_and_energy_counts(kind, kick):
         value=counted("value", base.value), **{kick: counted(kick, getattr(base, kick))}
     )
     n = 30
-    cfg = SamplerConfig(kind=kind, iterations=n, seed=2, leapfrog=LeapfrogConfig(0.1, 10))
+    cfg = SamplerConfig(
+        kind=kind, iterations=n, seed=2, leapfrog=LeapfrogConfig(0.1, 10)
+    )
     run_chain(np.zeros(3), energy, cfg)
     assert calls == {"value": n + 1, kick: 11 * n}
 
@@ -402,7 +407,9 @@ def test_diverging_trajectory_is_a_rejection():
     # At eps = 1e200 the momentum overflows and the position follows; the
     # p = 3/2 prox refuses the non-finite position.  Every transition is a
     # divergent rejection, drawn and recorded, and the chain stays put.
-    cfg = SamplerConfig(kind="nshmc2", iterations=20, seed=4, leapfrog=LeapfrogConfig(1e200, 10))
+    cfg = SamplerConfig(
+        kind="nshmc2", iterations=20, seed=4, leapfrog=LeapfrogConfig(1e200, 10)
+    )
     rec = run_chain(np.zeros(2), gg_energy(GGParams(1.0, 1.5)), cfg)
     assert rec.divergent.all() and not rec.accepted.any()
     assert np.array_equal(rec.samples, np.zeros((20, 2)))
@@ -417,7 +424,9 @@ def test_diverging_trajectory_is_a_rejection():
 def test_run_chain_rejects_non_finite_initial_state(kind):
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="initial state must be finite"):
-            run_chain(np.array([bad]), LAPLACE, SamplerConfig(kind=kind, iterations=3))
+            run_chain(
+                np.array([bad]), LAPLACE, SamplerConfig(kind=kind, iterations=3)
+            )
 
 
 def test_chain_record_kept_strips_burn_in():
