@@ -211,11 +211,12 @@ def power_residual(x, gamma: float, p: float):
     are taken as valid, and a non-finite x raises no error.  Returns an
     array.
     """
+    x = np.asarray(x, dtype=float)
     if p == 1.0:
         t = 1.0 / gamma
         return np.minimum(np.maximum(x, -t), t)
     if p == 2.0:
-        return 2.0 * np.asarray(x, dtype=float) / (gamma + 2.0)
+        return 2.0 * x / (gamma + 2.0)
     a = np.abs(x)
     if p == 1.5:
         return np.copysign((1.5 / gamma) * _sqrt_prox_p32(a, gamma), x)
