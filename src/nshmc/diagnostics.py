@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.signal import convolve2d
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "HistogramSpec",
@@ -116,18 +116,33 @@ def snr(reference: np.ndarray, estimate: np.ndarray) -> float:
 
 
 def _ssim_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+    """Normalized 1-D Gaussian; the SSIM window is its outer product."""
     half = (size - 1) / 2.0
     g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma * sigma))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
+
+
+def _ssim_filter(img: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Valid-mode filtering of a 2-D image with the window outer(g, g).
+
+    The window is separable, so this is one 1-D valid correlation along
+    axis 0 and one along axis 1.  g is symmetric, so correlation and
+    convolution agree.
+    """
+    k = g.size
+    cols = sliding_window_view(img, k, axis=0) @ g
+    return sliding_window_view(cols, k, axis=1) @ g
 
 
 def ssim(reference: np.ndarray, estimate: np.ndarray) -> float:
     """Mean structural similarity with the standard settings.
 
     Gaussian 11x11 window (sigma 1.5), dynamic range 255, stabilizers
-    C1 = (0.01 * 255)^2 and C2 = (0.03 * 255)^2.  Local statistics use
-    valid-mode windowing, so both images must be at least 11x11.
+    C1 = (0.01 * 255)^2 and C2 = (0.03 * 255)^2 (Wang, Bovik, Sheikh &
+    Simoncelli 2004).  Local statistics use valid-mode windowing, so both
+    images must be at least 11x11.  The window is the outer product of a
+    1-D Gaussian, so each local mean is computed as two 1-D valid
+    correlations, one per axis.
     """
     x = np.asarray(reference, dtype=float)
     y = np.asarray(estimate, dtype=float)
@@ -137,12 +152,12 @@ def ssim(reference: np.ndarray, estimate: np.ndarray) -> float:
         raise ValueError(f"images must be at least 11x11, got {x.shape}")
     c1 = (0.01 * 255.0) ** 2
     c2 = (0.03 * 255.0) ** 2
-    w = _ssim_window()
-    mu_x = convolve2d(x, w, mode="valid")
-    mu_y = convolve2d(y, w, mode="valid")
-    var_x = convolve2d(x * x, w, mode="valid") - mu_x * mu_x
-    var_y = convolve2d(y * y, w, mode="valid") - mu_y * mu_y
-    cov = convolve2d(x * y, w, mode="valid") - mu_x * mu_y
+    g = _ssim_window()
+    mu_x = _ssim_filter(x, g)
+    mu_y = _ssim_filter(y, g)
+    var_x = _ssim_filter(x * x, g) - mu_x * mu_x
+    var_y = _ssim_filter(y * y, g) - mu_y * mu_y
+    cov = _ssim_filter(x * y, g) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     return float(np.mean(num / den))

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .convex import (
     power_residual,
@@ -132,7 +131,7 @@ class PotentialEnergy:
 def gg_density(x, params: GGParams):
     """Generalized Gaussian density, vectorized over x."""
     gamma, p = params.gamma, params.p
-    lognorm = math.log(p) - math.log(2.0) - math.log(gamma) / p - gammaln(1.0 / p)
+    lognorm = math.log(p) - math.log(2.0) - math.log(gamma) / p - math.lgamma(1.0 / p)
     arr = np.asarray(x, dtype=float)
     out = np.exp(lognorm - np.abs(arr) ** p / gamma)
     if np.ndim(x) == 0:
@@ -142,7 +141,14 @@ def gg_density(x, params: GGParams):
 
 def gg_cdf(x, params: GGParams):
     """Generalized Gaussian distribution function, via the regularized
-    lower incomplete gamma function."""
+    lower incomplete gamma function.
+
+    ``scipy.special.gammainc`` is imported here, on the first call, so that
+    importing the package does not load scipy; only the tests and the
+    benchmark's checks call this function.
+    """
+    from scipy.special import gammainc
+
     gamma, p = params.gamma, params.p
     arr = np.asarray(x, dtype=float)
     tail = gammainc(1.0 / p, np.abs(arr) ** p / gamma)
@@ -221,7 +227,10 @@ def quad_l1_energy(a: float, b: float, dimension: int | None = None) -> Potentia
 
     The prototypical non-smooth test energy: kinked at zero, quadratic in
     the tails.  Its subdifferential at zero is a * [-1, 1] (the quadratic
-    part contributes nothing there), sampled uniformly.
+    part contributes nothing there), sampled uniformly.  The prox kick
+    ``residual`` is x - prox(x) computed without the subtraction: x where
+    |x| <= a, and sign(x) * (a + 2b|x|) / (1 + 2b) otherwise, which stays
+    at +-a for b = 0 however large |x| is.
     """
     if not (math.isfinite(a) and a > 0):
         raise ValueError(f"a must be finite and positive, got {a}")
@@ -239,7 +248,17 @@ def quad_l1_energy(a: float, b: float, dimension: int | None = None) -> Potentia
     def prox(x):
         return prox_quad_l1(np.asarray(x, dtype=float), a, b)
 
-    return PotentialEnergy(value=value, subgrad=subgrad, prox=prox, dimension=dimension)
+    t = 1.0 + 2.0 * b
+
+    def residual(x):
+        x = np.asarray(x, dtype=float)
+        ax = np.abs(x)
+        # a / t + |x| * (2b / t), so that no intermediate overflows.
+        return np.where(ax <= a, x, np.copysign(a / t + ax * (2.0 * b / t), x))
+
+    return PotentialEnergy(
+        value=value, subgrad=subgrad, prox=prox, dimension=dimension, residual=residual
+    )
 
 
 def gaussian_momentum_sample(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from nshmc.diagnostics import HistogramSpec, acf, histogram_mse, snr, ssim
+from nshmc.diagnostics import (
+    HistogramSpec,
+    _ssim_filter,
+    _ssim_window,
+    acf,
+    histogram_mse,
+    snr,
+    ssim,
+)
 from nshmc.model import GGParams, gg_density, gg_direct_sample
 
 PARAMS = GGParams(1.0, 1.0)
@@ -185,3 +193,56 @@ def test_ssim_input_errors():
         ssim(np.ones((16, 16)), np.ones((16, 17)))
     with pytest.raises(ValueError):
         ssim(np.ones(256), np.ones(256))
+
+
+SSIM_SHAPES = [(11, 11), (12, 12), (37, 53), (128, 128)]
+
+
+@pytest.mark.parametrize("shape", SSIM_SHAPES)
+def test_ssim_filter_matches_convolve2d(shape):
+    from scipy.signal import convolve2d
+
+    g = _ssim_window()
+    assert g.shape == (11,)
+    assert abs(g.sum() - 1.0) < 1e-15
+    img = np.random.default_rng(6).uniform(0.0, 255.0, size=shape)
+    want = convolve2d(img, np.outer(g, g), mode="valid")
+    got = _ssim_filter(img, g)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _ssim_convolve2d_reference(x, y):
+    """SSIM with the full 11x11 window applied by 2-D convolution."""
+    from scipy.signal import convolve2d
+
+    g = np.exp(-((np.arange(11) - 5.0) ** 2) / (2.0 * 1.5 * 1.5))
+    w = np.outer(g, g)
+    w /= w.sum()
+
+    def f(img):
+        return convolve2d(img, w, mode="valid")
+
+    c1 = (0.01 * 255.0) ** 2
+    c2 = (0.03 * 255.0) ** 2
+    mu_x, mu_y = f(x), f(y)
+    var_x = f(x * x) - mu_x * mu_x
+    var_y = f(y * y) - mu_y * mu_y
+    cov = f(x * y) - mu_x * mu_y
+    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    return float(np.mean(num / den))
+
+
+@pytest.mark.parametrize("shape", SSIM_SHAPES)
+def test_ssim_matches_convolve2d_reference(shape):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.0, 255.0, size=shape)
+    for sigma in (5.0, 20.0, 60.0):
+        y = x + rng.normal(0.0, sigma, size=shape)
+        want = _ssim_convolve2d_reference(x, y)
+        assert abs(ssim(x, y) - want) <= 1e-13 * abs(want), sigma
+    # Unrelated images: the mean SSIM is a cancelling sum near 0, so the
+    # agreement is checked on the scale of the index, which lies in [-1, 1].
+    y = rng.uniform(0.0, 255.0, size=shape)
+    assert abs(ssim(x, y) - _ssim_convolve2d_reference(x, y)) <= 1e-13

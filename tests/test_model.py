@@ -34,6 +34,20 @@ KS_1PCT = 1.63  # asymptotic 1% Kolmogorov-Smirnov critical coefficient
 # -------------------------------------------------------------------- densities
 
 
+def test_gg_density_normalizer_matches_scipy_gammaln():
+    from scipy.special import gammaln
+
+    for p in (1.0, 1.2, 1.5, 2.0, 3.0):
+        assert abs(math.lgamma(1.0 / p) - gammaln(1.0 / p)) <= 1e-15 * max(
+            1.0, abs(gammaln(1.0 / p))
+        )
+        for gamma in (0.5, 1.0, 3.0):
+            want = math.exp(
+                math.log(p) - math.log(2.0) - math.log(gamma) / p - gammaln(1.0 / p)
+            )
+            assert abs(gg_density(0.0, GGParams(gamma, p)) - want) <= 1e-15 * want
+
+
 def test_gg_density_frozen_values():
     assert gg_density(0.0, GGParams(1.0, 1.0)) == pytest.approx(0.5, abs=1e-15)
     assert gg_density(0.0, GGParams(1.0, 2.0)) == pytest.approx(
@@ -198,6 +212,28 @@ def test_quad_l1_energy():
     assert min(draws) < -1.0 and max(draws) > 1.0
     # Away from zero: a*sign + 2bx.
     assert e.subgrad(np.array([1.0]), np.random.default_rng(0))[0] == 8.0
+
+
+def test_quad_l1_residual_at_huge_x_is_a():
+    # With b = 0, x - prox(x) cancels to 0 at these points; the residual is +-a.
+    for a in (0.5, 1.0, 3.0):
+        e = quad_l1_energy(a, 0.0)
+        x = np.array([1e300, -1e300, 1e17, -1e17])
+        assert np.array_equal(x - e.prox(x), [0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(e.residual(x), [a, -a, a, -a])
+
+
+@pytest.mark.filterwarnings("error")
+def test_quad_l1_residual_matches_subtraction():
+    g = np.geomspace(1e-3, 1e3, 301)
+    x = np.concatenate([-g, g, np.linspace(-10.0, 10.0, 201), [0.0, -0.0]])
+    for a in (0.5, 2.0):
+        for b in (0.0, 0.5, 2.0):
+            e = quad_l1_energy(a, b)
+            got = e.residual(x)
+            want = x - e.prox(x)
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(x))), (a, b)
+            assert np.array_equal(e.residual(-x), -got)
 
 
 def test_quad_l1_energy_validation():
