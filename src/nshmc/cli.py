@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 file/parse error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -586,10 +587,14 @@ _COMMANDS = {
 
 
 def _run_command(command: str, params: dict) -> dict:
-    """Check the seed, then run one of ``_COMMANDS`` with keyword params.
+    """Check the params and the seed, then run one of ``_COMMANDS``.
 
     Both ``main`` and ``replay`` come through here.
     """
+    try:
+        inspect.signature(_COMMANDS[command]).bind(**params)
+    except TypeError as exc:
+        raise UsageError(f"bad params for {command}: {exc}") from None
     seed = params.get("seed")
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
@@ -603,11 +608,13 @@ def cmd_replay(manifest_path, out_dir=None) -> dict:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise PgmParseError(f"manifest is not valid JSON: {exc}", 0) from None
+    params = manifest.get("params", {}) if isinstance(manifest, dict) else None
+    if not isinstance(params, dict):
+        raise UsageError("manifest and its params must be JSON objects")
     command = manifest.get("command")
     if command not in _COMMANDS:
         raise UsageError(f"manifest names unknown command {command!r}")
-    params = dict(manifest.get("params", {}))
-    params["out_dir"] = Path(out_dir) if out_dir is not None else path.parent
+    params = dict(params, out_dir=Path(out_dir) if out_dir is not None else path.parent)
     return _run_command(command, params)
 
 

@@ -14,8 +14,11 @@ Each Gibbs sweep draws
                     U(x) = ||x||_1 / lam + ||y - F^{-1}x||^2 / (2 sigma2).
 
 Because F is orthonormal, ||y - F^{-1}x|| equals ||Fy - x||, so the whole
-x-update runs in the coefficient domain.  The posterior-mean estimate is
-the inverse transform of the averaged post-burn-in coefficients.
+x-update runs in the coefficient domain: one ``integrators.leapfrog``
+trajectory over all coefficients (L + 1 kicks for L steps), then a
+Metropolis test per coefficient, or a rejection of all of them when the
+trajectory diverged.  The posterior-mean estimate is the inverse
+transform of the averaged post-burn-in coefficients.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import prox_denoise_energy, prox_soft_threshold, subgrad_abs_sample
-from .integrators import LeapfrogConfig
+from .integrators import LeapfrogConfig, leapfrog, select_kick
 from .model import IGParams, PotentialEnergy, ig_sample
-from .samplers import ChainRecord, SamplerConfig
+from .samplers import _HMC_SCHEMES, ChainRecord, SamplerConfig
 from .wavelet import WaveletOperator
 
 __all__ = ["DenoiseModel", "denoise_energy", "gibbs_denoise_run", "synthetic_blocks"]
@@ -123,11 +126,9 @@ def denoise_energy(
 def _coordinate_hmc_sweep(
     x: np.ndarray,
     obs_coeffs: np.ndarray,
-    alpha: float,
+    sigma2: float,
     lam: float,
-    eps: float,
-    steps: int,
-    kind: str,
+    sampler: SamplerConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
     """One HMC transition per coefficient, accepted coordinatewise.
@@ -137,28 +138,27 @@ def _coordinate_hmc_sweep(
     joint accept test would sum the per-coordinate discretization error of
     the surrogate force over thousands of coefficients and reject
     essentially every proposal; coordinatewise tests keep the per-scalar
-    acceptance rate independent of the image size.
+    acceptance rate independent of the image size.  A trajectory that ends
+    at a non-finite coefficient rejects them all after the usual uniform
+    draws, which is exact: divergence-free trajectories map onto themselves
+    under reversal.
     """
-    c = obs_coeffs
-
-    def kick(v):
-        if kind == "nshmc2":
-            return v - prox_denoise_energy(v, c, alpha, lam)
-        return np.asarray(subgrad_abs_sample(v, rng)) / lam + alpha * (v - c)
+    energy = denoise_energy(obs_coeffs, sigma2, lam)
+    kick = select_kick(energy, _HMC_SCHEMES[sampler.kind], rng)
+    lf = sampler.leapfrog
+    alpha = 1.0 / sigma2
 
     def coord_energy(v):
-        return np.abs(v) / lam + 0.5 * alpha * (v - c) ** 2
+        return np.abs(v) / lam + 0.5 * alpha * (v - obs_coeffs) ** 2
 
     q0 = rng.standard_normal(x.size)
-    v = x.copy()
-    q = q0.copy()
-    for _ in range(steps):
-        q = q - 0.5 * eps * kick(v)
-        v = v + eps * q
-        q = q - 0.5 * eps * kick(v)
-    dh = (coord_energy(x) + 0.5 * q0 * q0) - (coord_energy(v) + 0.5 * q * q)
-    ok = np.log(rng.random(x.size)) < dh
-    ok &= np.isfinite(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, q = leapfrog(x.copy(), q0.copy(), kick, lf.epsilon, lf.steps)
+        u = rng.random(x.size)
+        if not np.isfinite(v).all():
+            return x, 0.0
+        dh = (coord_energy(x) + 0.5 * q0 * q0) - (coord_energy(v) + 0.5 * q * q)
+        ok = np.log(u) < dh
     return np.where(ok, v, x), float(ok.mean())
 
 
@@ -203,7 +203,7 @@ def gibbs_denoise_run(
             iterations=1,
             leapfrog=LeapfrogConfig(epsilon=0.5, steps=10),
         )
-    if sampler.kind not in ("nshmc1", "nshmc2"):
+    if sampler.kind not in _HMC_SCHEMES:
         raise ValueError(f"x-update needs an HMC kind, got {sampler.kind!r}")
 
     rng = np.random.default_rng(seed)
@@ -221,8 +221,6 @@ def gibbs_denoise_run(
         x = fy.copy()
         sigma2 = 1.0
 
-    eps = sampler.leapfrog.epsilon
-    steps = sampler.leapfrog.steps
     samples = np.empty((iterations, n))
     accepted = np.empty(iterations)
     sigma2_chain = np.empty(iterations)
@@ -243,9 +241,7 @@ def gibbs_denoise_run(
             ),
             rng,
         )
-        x, frac = _coordinate_hmc_sweep(
-            x, fy, 1.0 / sigma2, lam, eps, steps, sampler.kind, rng
-        )
+        x, frac = _coordinate_hmc_sweep(x, fy, sigma2, lam, sampler, rng)
         samples[r] = x
         accepted[r] = frac
         sigma2_chain[r] = sigma2

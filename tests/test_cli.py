@@ -173,6 +173,31 @@ def test_replay_rejects_bad_manifests(tmp_path):
     assert main(["replay", str(broken)]) == 3
 
 
+def _drop_iterations(manifest):
+    del manifest["params"]["iterations"]
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: {**m, "params": {**m["params"], "bogus": 1}},
+        lambda m: [m],
+        _drop_iterations,
+        lambda m: {**m, "params": list(m["params"].items())},
+    ],
+    ids=["unknown-param", "list-body", "missing-param", "list-params"],
+)
+def test_replay_malformed_manifest_is_usage_error(tmp_path, capsys, edit):
+    cmd_sample(target="gg:p=1", sampler="rwmh:std=1", iterations=20, seed=0,
+               out_dir=tmp_path)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert main(["replay", str(path), "--out-dir", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_main_success_exit_code(tmp_path):
     assert main(["sample", "-n", "50", "--out-dir", str(tmp_path)]) == 0
 

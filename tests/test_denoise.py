@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nshmc.convex import prox_soft_threshold
+import nshmc.denoise
+from nshmc.convex import prox_denoise_energy, prox_soft_threshold, subgrad_abs_sample
 from nshmc.denoise import (
     DenoiseModel,
     _noise_variance_estimate,
@@ -14,6 +15,7 @@ from nshmc.denoise import (
     synthetic_blocks,
 )
 from nshmc.diagnostics import snr
+from nshmc.integrators import LeapfrogConfig
 from nshmc.samplers import SamplerConfig
 from nshmc.wavelet import WaveletOperator
 
@@ -179,6 +181,108 @@ def test_subgradient_kernel_also_runs():
     estimate, record, _ = gibbs_denoise_run(model, 80, 40, sampler=cfg, seed=2)
     assert record.acceptance_rate > 0.2
     assert snr(clean, estimate) > snr(clean, noisy)
+
+
+# ------------------------------------------------------------ the x-update
+
+
+def _reference_sweep(x, obs_coeffs, alpha, lam, eps, steps, kind, rng):
+    # A hand-written leapfrog with two kicks per step (2L in all), the
+    # coordinatewise Metropolis test, and per-coordinate rejection of
+    # non-finite positions.
+    c = obs_coeffs
+
+    def kick(v):
+        if kind == "nshmc2":
+            return v - prox_denoise_energy(v, c, alpha, lam)
+        return np.asarray(subgrad_abs_sample(v, rng)) / lam + alpha * (v - c)
+
+    def coord_energy(v):
+        return np.abs(v) / lam + 0.5 * alpha * (v - c) ** 2
+
+    q0 = rng.standard_normal(x.size)
+    v = x.copy()
+    q = q0.copy()
+    for _ in range(steps):
+        q = q - 0.5 * eps * kick(v)
+        v = v + eps * q
+        q = q - 0.5 * eps * kick(v)
+    dh = (coord_energy(x) + 0.5 * q0 * q0) - (coord_energy(v) + 0.5 * q * q)
+    ok = np.log(rng.random(x.size)) < dh
+    ok &= np.isfinite(v)
+    return np.where(ok, v, x), float(ok.mean())
+
+
+@pytest.mark.parametrize("kind", ["nshmc1", "nshmc2"])
+@pytest.mark.parametrize("sample_noise_variance", [False, True])
+def test_sweep_matches_two_kick_reference_bitwise(
+    monkeypatch, kind, sample_noise_variance
+):
+    # Sharing the kick between consecutive steps does the same float
+    # operations at the same positions, so the run is bit-identical.
+    _, noisy = _noisy_blocks(32, 13)
+    model = DenoiseModel(
+        noisy, WaveletOperator(32, 32, 3), sample_noise_variance=sample_noise_variance
+    )
+    cfg = SamplerConfig(
+        kind=kind, iterations=1, leapfrog=LeapfrogConfig(epsilon=0.5, steps=10)
+    )
+    est, rec, hyp = gibbs_denoise_run(model, 25, 10, sampler=cfg, seed=3)
+    monkeypatch.setattr(
+        nshmc.denoise,
+        "_coordinate_hmc_sweep",
+        lambda x, c, sigma2, lam, cfg, rng: _reference_sweep(
+            x, c, 1.0 / sigma2, lam, cfg.leapfrog.epsilon, cfg.leapfrog.steps,
+            cfg.kind, rng,
+        ),
+    )
+    ref_est, ref_rec, ref_hyp = gibbs_denoise_run(model, 25, 10, sampler=cfg, seed=3)
+    assert np.array_equal(est, ref_est)
+    assert np.array_equal(rec.samples, ref_rec.samples)
+    assert np.array_equal(rec.accepted, ref_rec.accepted)
+    assert np.array_equal(hyp["sigma2"], ref_hyp["sigma2"])
+    assert np.array_equal(hyp["lambda"], ref_hyp["lambda"])
+    assert 0.0 < rec.acceptance_rate < 1.0
+
+
+def test_prox_sweep_shares_kicks_between_steps(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return prox_denoise_energy(*args)
+
+    monkeypatch.setattr(nshmc.denoise, "prox_denoise_energy", counting)
+    _, noisy = _noisy_blocks(16, 2)
+    model = DenoiseModel(noisy, WaveletOperator(16, 16, 3))
+    steps = 7
+    cfg = SamplerConfig(
+        kind="nshmc2", iterations=1, leapfrog=LeapfrogConfig(epsilon=0.5, steps=steps)
+    )
+    gibbs_denoise_run(model, 1, 0, sampler=cfg, seed=0)
+    assert len(calls) == steps + 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["nshmc1", "nshmc2"])
+def test_divergent_sweep_is_a_rejection(kind):
+    # At eps = 1e200 every trajectory overflows; each sweep must keep the
+    # start point and report nothing accepted, without an exception or a
+    # floating-point warning.
+    _, noisy = _noisy_blocks(16, 4)
+    op = WaveletOperator(16, 16, 3)
+    fy = op.forward(noisy)
+    s2hat = _noise_variance_estimate(fy, op)
+    x0 = prox_soft_threshold(fy, math.sqrt(s2hat * 2.0 * math.log(fy.size)))
+    cfg = SamplerConfig(
+        kind=kind, iterations=1, leapfrog=LeapfrogConfig(epsilon=1e200, steps=10)
+    )
+    estimate, record, _ = gibbs_denoise_run(
+        DenoiseModel(noisy, op), 5, 0, sampler=cfg, seed=0
+    )
+    assert np.array_equal(record.samples, np.tile(x0, (5, 1)))
+    assert np.all(record.accepted == 0.0)
+    assert np.all(np.isfinite(estimate))
 
 
 # ------------------------------------------------------------------- validation
