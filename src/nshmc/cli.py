@@ -7,13 +7,19 @@ Four commands cover the library surface: ``exp1`` (1-D sampler comparison),
 ``replay`` reruns a manifest; outputs are bitwise reproducible from the
 recorded seed.
 
+``_build_parser`` is the only statement of each command's parameters: their
+names, types, defaults and the seed rule.  ``main`` parses the command line
+with it.  ``replay`` turns a manifest's params into ``--name=value``
+arguments and parses them with the same parser, so a wrong name, type or
+null in a manifest is the same usage error it would be on the command line.
+A manifest records the command's arguments once its defaults are resolved.
+
 Exit codes: 0 success, 2 usage error, 3 file/parse error, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import sys
@@ -37,6 +43,13 @@ class UsageError(Exception):
     """Bad command-line values; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ``UsageError`` instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _format_cell(value) -> str:
     if isinstance(value, str):
         return value
@@ -54,18 +67,31 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
-def _write_manifest(
-    out_dir: Path, command: str, params: dict, seed: int, outputs: list[str], t0: float
-) -> None:
+def _write_manifest(out_dir: Path, outputs: list[str], t0: float) -> None:
+    """Write ``manifest.json`` for the ``cmd_*`` function that calls this.
+
+    Its params are the caller's arguments, read from the caller's frame, so
+    a default resolved in the body (``exp1``'s ``burn_in``) is recorded
+    resolved.  The frame, not the module global, names them because a
+    profiler may replace ``cmd_*`` with a ``(*args, **kwargs)`` wrapper.
+    A path is recorded as a string.
+    """
+    caller = sys._getframe(1)
+    code, scope = caller.f_code, caller.f_locals
+    params = {
+        name: scope[name]
+        for name in code.co_varnames[: code.co_argcount]
+        if name != "out_dir"
+    }
     manifest = {
-        "command": command,
+        "command": code.co_name.removeprefix("cmd_"),
         "params": params,
-        "seed": seed,
+        "seed": params["seed"],
         "outputs": outputs,
         "duration_seconds": time.perf_counter() - t0,
     }
     with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
@@ -162,23 +188,7 @@ def cmd_exp1(
     ]
     _write_csv(out / "acf.csv", ["lag"] + names, acf_rows)
 
-    _write_manifest(
-        out,
-        "exp1",
-        {
-            "p": p,
-            "lam": lam,
-            "iterations": iterations,
-            "seed": seed,
-            "eps": eps,
-            "steps": steps,
-            "burn_in": burn_in,
-            "max_lag": max_lag,
-        },
-        seed,
-        ["mse_curve.csv", "acf.csv"],
-        t0,
-    )
+    _write_manifest(out, ["mse_curve.csv", "acf.csv"], t0)
     final = {name: mse_rows[-1][1 + i] for i, name in enumerate(names)}
     accept = {name: records[name].acceptance_rate for name in names}
     for name in names:
@@ -323,23 +333,7 @@ def cmd_exp2(
         conv_rows,
     )
 
-    _write_manifest(
-        out,
-        "exp2",
-        {
-            "dim": dim,
-            "p": p,
-            "lam": lam,
-            "iterations": iterations,
-            "seed": seed,
-            "eps": eps,
-            "steps": steps,
-            "bins": bins,
-        },
-        seed,
-        ["mse_curve.csv", "convergence.csv"],
-        t0,
-    )
+    _write_manifest(out, ["mse_curve.csv", "convergence.csv"], t0)
     for name, (t_star, reached) in thresholds.items():
         state = "reached" if reached else "not reached within budget"
         print(f"exp2 dim={dim} {name}: threshold {state} at iteration {t_star}")
@@ -411,110 +405,68 @@ def cmd_exp3(
         ],
     )
 
-    _write_manifest(
-        out,
-        "exp3",
-        {
-            "input_pgm": None if input_pgm is None else str(input_pgm),
-            "noise_var": noise_var,
-            "iterations": iterations,
-            "burn_in": burn_in,
-            "seed": seed,
-            "eps": eps,
-            "steps": steps,
-            "levels": levels,
-        },
-        seed,
-        ["noisy.pgm", "denoised.pgm", "metrics.csv", "chain.csv"],
-        t0,
-    )
+    _write_manifest(out, ["noisy.pgm", "denoised.pgm", "metrics.csv", "chain.csv"], t0)
     for name, (snr_db, ssim_val) in metrics.items():
         print(f"exp3 {name}: SNR {snr_db:.2f} dB, SSIM {ssim_val:.4f}")
     return {"out_dir": out, "metrics": metrics, "estimate": estimate, "record": record}
 
 
-_TARGET_HELP = "valid targets: gg:p=<p>,gamma=<g>  |  quadl1:a=<a>,b=<b>"
-_SAMPLER_HELP = (
-    "valid samplers: nshmc1:eps=<e>,lf=<n>  |  nshmc2:eps=<e>,lf=<n>  |  "
-    "rwmh:std=<s>  |  indmh:std=<s>"
-)
+def _hmc_sampler(kind: str, opts: dict, **run) -> SamplerConfig:
+    if not opts["lf"].is_integer():
+        raise UsageError(f"lf must be a whole number of steps, got {opts['lf']}")
+    leapfrog = LeapfrogConfig(epsilon=opts["eps"], steps=int(opts["lf"]))
+    return SamplerConfig(kind=kind, leapfrog=leapfrog, **run)
 
 
-def _parse_spec(text: str, what: str) -> tuple[str, dict]:
+def _mh_sampler(kind: str, opts: dict, **run) -> SamplerConfig:
+    return SamplerConfig(kind=kind, proposal_std=opts["std"], **run)
+
+
+# Spec name -> (option defaults, constructor).  The constructors look
+# gg_energy and the rest up when called, not when this module loads.
+_TARGETS = {
+    "gg": (
+        {"p": 1.0, "gamma": 1.0},
+        lambda name, o: gg_energy(GGParams(gamma=o["gamma"], p=o["p"])),
+    ),
+    "quadl1": ({"a": 1.0, "b": 0.0}, lambda name, o: quad_l1_energy(o["a"], o["b"])),
+}
+_SAMPLERS = {
+    "nshmc1": ({"eps": 0.05, "lf": 10.0}, _hmc_sampler),
+    "nshmc2": ({"eps": 0.05, "lf": 10.0}, _hmc_sampler),
+    "rwmh": ({"std": 1.0}, _mh_sampler),
+    "indmh": ({"std": 1.0}, _mh_sampler),
+}
+
+
+def _spec_help(what: str, table: dict) -> str:
+    return f"valid {what}s: " + "  |  ".join(
+        name + ":" + ",".join(f"{key}=<{key}>" for key in defaults)
+        for name, (defaults, _) in table.items()
+    )
+
+
+def _build_spec(text: str, what: str, table: dict, **run):
+    """Parse ``name:key=value,...`` against a spec table and build it."""
     name, _, rest = text.partition(":")
-    options: dict[str, float] = {}
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            if not sep or not key:
-                raise UsageError(f"malformed {what} option {item!r} in {text!r}")
-            try:
-                options[key] = float(value)
-            except ValueError:
-                raise UsageError(
-                    f"non-numeric {what} option {item!r} in {text!r}"
-                ) from None
-    return name, options
-
-
-def _build_target(text: str):
-    name, opts = _parse_spec(text, "target")
-    if name == "gg":
-        p = opts.pop("p", 1.0)
-        gamma = opts.pop("gamma", 1.0)
-        if opts:
-            raise UsageError(f"unknown gg options {sorted(opts)}; {_TARGET_HELP}")
+    if name not in table:
+        raise UsageError(f"unknown {what} {name!r}; {_spec_help(what, table)}")
+    defaults, make = table[name]
+    opts = dict(defaults)
+    for item in rest.split(",") if rest else ():
+        key, sep, value = item.partition("=")
+        if not sep or key not in defaults:
+            raise UsageError(
+                f"bad {name} option {item!r} in {text!r}; {_spec_help(what, table)}"
+            )
         try:
-            return gg_energy(GGParams(gamma=gamma, p=p))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if name == "quadl1":
-        a = opts.pop("a", 1.0)
-        b = opts.pop("b", 0.0)
-        if opts:
-            raise UsageError(f"unknown quadl1 options {sorted(opts)}; {_TARGET_HELP}")
-        try:
-            return quad_l1_energy(a, b)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    raise UsageError(f"unknown target {name!r}; {_TARGET_HELP}")
-
-
-def _build_sampler(text: str, iterations: int, burn_in: int, seed: int) -> SamplerConfig:
-    name, opts = _parse_spec(text, "sampler")
+            opts[key] = float(value)
+        except ValueError:
+            raise UsageError(f"non-numeric {what} option {item!r} in {text!r}") from None
     try:
-        if name in ("nshmc1", "nshmc2"):
-            eps = opts.pop("eps", 0.05)
-            lf = opts.pop("lf", 10.0)
-            if opts:
-                raise UsageError(
-                    f"unknown {name} options {sorted(opts)}; {_SAMPLER_HELP}"
-                )
-            if not lf.is_integer():
-                raise UsageError(f"lf must be a whole number of steps, got {lf}")
-            return SamplerConfig(
-                kind=name,
-                iterations=iterations,
-                burn_in=burn_in,
-                seed=seed,
-                leapfrog=LeapfrogConfig(epsilon=eps, steps=int(lf)),
-            )
-        if name in ("rwmh", "indmh"):
-            std = opts.pop("std", 1.0)
-            if opts:
-                raise UsageError(
-                    f"unknown {name} options {sorted(opts)}; {_SAMPLER_HELP}"
-                )
-            return SamplerConfig(
-                kind=name,
-                iterations=iterations,
-                burn_in=burn_in,
-                seed=seed,
-                proposal_std=std,
-            )
+        return make(name, opts, **run)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    raise UsageError(f"unknown sampler {name!r}; {_SAMPLER_HELP}")
 
 
 def cmd_sample(
@@ -536,8 +488,10 @@ def cmd_sample(
         raise UsageError(f"dim must be >= 1, got {dim}")
     out = _prepare_out_dir(out_dir)
     t0 = time.perf_counter()
-    energy = _build_target(target)
-    config = _build_sampler(sampler, iterations, burn_in, seed)
+    energy = _build_spec(target, "target", _TARGETS)
+    config = _build_spec(
+        sampler, "sampler", _SAMPLERS, iterations=iterations, burn_in=burn_in, seed=seed
+    )
     record = run_chain(np.zeros(dim), energy, config)
     if record.divergent is not None and record.divergent.all():
         raise ValueError(
@@ -555,21 +509,7 @@ def cmd_sample(
 
     moved = len(kept) > 2 and kept[:, 0].min() < kept[:, 0].max()
     lag1 = acf(kept[:, 0], 1)[1] if moved else math.nan
-    _write_manifest(
-        out,
-        "sample",
-        {
-            "target": target,
-            "sampler": sampler,
-            "iterations": iterations,
-            "seed": seed,
-            "burn_in": burn_in,
-            "dim": dim,
-        },
-        seed,
-        ["chain.csv"],
-        t0,
-    )
+    _write_manifest(out, ["chain.csv"], t0)
     divergent = 0 if record.divergent is None else int(record.divergent.sum())
     print(
         f"sample: acceptance rate {record.acceptance_rate:.3f}, "
@@ -578,115 +518,129 @@ def cmd_sample(
     return {"out_dir": out, "record": record}
 
 
-_COMMANDS = {
-    "exp1": cmd_exp1,
-    "exp2": cmd_exp2,
-    "exp3": cmd_exp3,
-    "sample": cmd_sample,
-}
-
-
-def _run_command(command: str, params: dict) -> dict:
-    """Check the params and the seed, then run one of ``_COMMANDS``.
-
-    Both ``main`` and ``replay`` come through here.
-    """
-    try:
-        inspect.signature(_COMMANDS[command]).bind(**params)
-    except TypeError as exc:
-        raise UsageError(f"bad params for {command}: {exc}") from None
-    seed = params.get("seed")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {seed!r}")
-    return _COMMANDS[command](**params)
+def _seed(text: str) -> int:
+    """The ``--seed`` type: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}"
+        )
+    return int(text)
 
 
 def cmd_replay(manifest_path, out_dir=None) -> dict:
-    """Rerun the command recorded in a manifest; outputs are bit-identical."""
+    """Rerun the command recorded in a manifest; outputs are bit-identical.
+
+    The params go through the command-line parser as ``--name=value``
+    arguments, so they must name exactly the command's parameters, with
+    values of the parser's types.  A null stands for a parameter whose
+    default is None.
+    """
     path = Path(manifest_path)
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise PgmParseError(f"manifest is not valid JSON: {exc}", 0) from None
-    params = manifest.get("params", {}) if isinstance(manifest, dict) else None
+    manifest = json.loads(path.read_text())
+    params = manifest.get("params") if isinstance(manifest, dict) else None
     if not isinstance(params, dict):
         raise UsageError("manifest and its params must be JSON objects")
     command = manifest.get("command")
-    if command not in _COMMANDS:
+    if command not in ("exp1", "exp2", "exp3", "sample"):
         raise UsageError(f"manifest names unknown command {command!r}")
-    params = dict(params, out_dir=Path(out_dir) if out_dir is not None else path.parent)
-    return _run_command(command, params)
+    argv = [command]
+    argv += [
+        f"--{name.replace('_', '-')}={value}"
+        for name, value in params.items()
+        if value is not None
+    ]
+    argv.append(f"--out-dir={path.parent if out_dir is None else out_dir}")
+    args = _parse(argv)
+    names = set(args) - {"run", "out_dir"}
+    if set(params) != names:
+        raise UsageError(
+            f"{command} params must be {sorted(names)}, manifest has {sorted(params)}"
+        )
+    for name, value in params.items():
+        if value is None and args[name] is not None:
+            raise UsageError(f"{command} param {name} must not be null")
+    return args.pop("run")(**args)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, the only statement of each command's parameters.
+
+    An experiment subparser's destinations are its command's parameter
+    names, and its ``run`` default is the command, looked up when the
+    parser is built.
+    """
+    parser = _Parser(
         prog="nshmc",
         description="Hamiltonian Monte Carlo for non-smooth log-concave targets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p1 = sub.add_parser("exp1", help="1-D sampler comparison on a generalized Gaussian")
+    def command(name, run, help):
+        cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(run=run)
+        cmd.add_argument("--seed", type=_seed, default=0)
+        cmd.add_argument("--out-dir", required=True)
+        return cmd
+
+    p1 = command("exp1", cmd_exp1, "1-D sampler comparison on a generalized Gaussian")
     p1.add_argument("--p", type=float, default=1.0, help="target exponent (>= 1)")
     p1.add_argument("--lam", type=float, default=1.0, help="target scale gamma")
     p1.add_argument("-n", "--iterations", type=int, default=20000)
     p1.add_argument("--burn-in", type=int, default=None)
-    p1.add_argument("--seed", type=int, default=0)
     p1.add_argument("--eps", type=float, default=0.25, help="leapfrog step size")
     p1.add_argument("--steps", type=int, default=10, help="leapfrog steps")
     p1.add_argument("--max-lag", type=int, default=50)
-    p1.add_argument("--out-dir", required=True)
 
-    p2 = sub.add_parser("exp2", help="multivariate convergence against direct draws")
+    p2 = command("exp2", cmd_exp2, "multivariate convergence against direct draws")
     p2.add_argument("--dim", type=int, default=2, help="dimension (2, 3 or 4)")
     p2.add_argument("--p", type=float, default=1.0)
     p2.add_argument("--lam", type=float, default=1.0)
     p2.add_argument("-n", "--iterations", type=int, default=6000)
-    p2.add_argument("--seed", type=int, default=0)
     p2.add_argument("--eps", type=float, default=0.25)
     p2.add_argument("--steps", type=int, default=10)
     p2.add_argument("--bins", type=int, default=None, help="histogram bins per axis")
-    p2.add_argument("--out-dir", required=True)
 
-    p3 = sub.add_parser("exp3", help="Bayesian wavelet denoising of an image")
+    p3 = command("exp3", cmd_exp3, "Bayesian wavelet denoising of an image")
     p3.add_argument("--input-pgm", default=None, help="binary PGM input; "
                     "omit to use the built-in synthetic image")
     p3.add_argument("--noise-var", type=float, default=40.0)
     p3.add_argument("-n", "--iterations", type=int, default=1000)
     p3.add_argument("--burn-in", type=int, default=500)
-    p3.add_argument("--seed", type=int, default=0)
     p3.add_argument("--eps", type=float, default=0.5)
     p3.add_argument("--steps", type=int, default=10)
     p3.add_argument("--levels", type=int, default=3)
-    p3.add_argument("--out-dir", required=True)
 
-    ps = sub.add_parser("sample", help="run one chain on a named target")
-    ps.add_argument("--target", default="gg:p=1,gamma=1", help=_TARGET_HELP)
-    ps.add_argument("--sampler", default="nshmc2:eps=0.05,lf=10", help=_SAMPLER_HELP)
+    ps = command("sample", cmd_sample, "run one chain on a named target")
+    ps.add_argument("--target", default="gg:p=1,gamma=1",
+                    help=_spec_help("target", _TARGETS))
+    ps.add_argument("--sampler", default="nshmc2:eps=0.05,lf=10",
+                    help=_spec_help("sampler", _SAMPLERS))
     ps.add_argument("-n", "--iterations", type=int, default=1000)
     ps.add_argument("--burn-in", type=int, default=0)
     ps.add_argument("--dim", type=int, default=1)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--out-dir", required=True)
 
     pr = sub.add_parser("replay", help="rerun a recorded manifest")
-    pr.add_argument("manifest")
+    pr.set_defaults(run=cmd_replay)
+    pr.add_argument("manifest_path", metavar="manifest")
     pr.add_argument("--out-dir", default=None)
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> dict:
+    """Parse argv into a command's keyword arguments plus ``run``, the command."""
     args = vars(_build_parser().parse_args(argv))
-    command = args.pop("command")
+    del args["command"]
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        if command == "replay":
-            cmd_replay(args["manifest"], args["out_dir"])
-        else:
-            # Each subparser's destinations are its command's parameter names.
-            _run_command(command, args)
+        args = _parse(argv)
+        args.pop("run")(**args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PgmParseError, OSError) as exc:
+    except (PgmParseError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError) as exc:

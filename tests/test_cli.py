@@ -1,7 +1,12 @@
 """Command-line interface: outputs, manifests, replay, exit codes."""
 
 import json
+import os
+import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +183,10 @@ def _drop_iterations(manifest):
     return manifest
 
 
+def _set_param(name, value):
+    return lambda m: {**m, "params": {**m["params"], name: value}}
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -185,8 +194,13 @@ def _drop_iterations(manifest):
         lambda m: [m],
         _drop_iterations,
         lambda m: {**m, "params": list(m["params"].items())},
+        _set_param("iterations", 20.5),
+        _set_param("dim", "four"),
+        _set_param("target", 5),
+        _set_param("target", None),
     ],
-    ids=["unknown-param", "list-body", "missing-param", "list-params"],
+    ids=["unknown-param", "list-body", "missing-param", "list-params",
+         "float-iterations", "string-dim", "int-target", "null-target"],
 )
 def test_replay_malformed_manifest_is_usage_error(tmp_path, capsys, edit):
     cmd_sample(target="gg:p=1", sampler="rwmh:std=1", iterations=20, seed=0,
@@ -196,6 +210,67 @@ def test_replay_malformed_manifest_is_usage_error(tmp_path, capsys, edit):
     capsys.readouterr()
     assert main(["replay", str(path), "--out-dir", str(tmp_path / "r")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_EDIT_POOL = [-1, 0, 3, 20.5, "four", "-x", True, None, [1], {}]
+
+
+def test_replay_edited_manifests_never_raise(tmp_path, capsys):
+    # Seeded random edits of a valid manifest: drop a param, add an unknown
+    # one, or set one from a pool of wrong and borderline values.  Every
+    # edit ends in a documented exit code, and every failure says why.
+    cmd_sample(target="gg:p=1", sampler="rwmh:std=1", iterations=20, seed=0,
+               out_dir=tmp_path)
+    base = json.loads((tmp_path / "manifest.json").read_text())
+    rng = random.Random(0)
+    path = tmp_path / "edited.json"
+    codes = set()
+    for i in range(40):
+        params = dict(base["params"])
+        for _ in range(rng.randint(1, 2)):
+            action = rng.choice(["drop", "add", "set", "set"])
+            if action == "drop" and params:
+                del params[rng.choice(sorted(params))]
+            elif action == "add":
+                params[rng.choice(["bogus", "out_dir", "n", "help"])] = 1
+            else:
+                params[rng.choice(sorted(base["params"]))] = rng.choice(_EDIT_POOL)
+        path.write_text(json.dumps({**base, "params": params}))
+        capsys.readouterr()
+        code = main(["replay", str(path), "--out-dir", str(tmp_path / f"r{i}")])
+        codes.add(code)
+        assert code in (0, 2, 3, 4), params
+        if code:
+            assert capsys.readouterr().err.startswith("error: "), params
+    assert codes >= {0, 2}
+
+
+def test_replay_type_error_exits_2_without_traceback(tmp_path):
+    cmd_sample(target="gg:p=1", sampler="rwmh:std=1", iterations=20, seed=0,
+               out_dir=tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["params"]["dim"] = "four"
+    path.write_text(json.dumps(manifest))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nshmc", "replay", str(path),
+         "--out-dir", str(tmp_path / "r")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_argparse_errors_return_2(tmp_path, capsys):
+    d = str(tmp_path)
+    for argv in (["exp1"], ["exp1", "--bogus", "--out-dir", d],
+                 ["exp1", "-n", "x", "--out-dir", d]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_main_success_exit_code(tmp_path):
