@@ -40,7 +40,6 @@ from .model import (
     IGParams,
     PhaseState,
     PotentialEnergy,
-    gaussian_momentum_sample,
     gg_cdf,
     gg_density,
     gg_direct_sample,

@@ -14,12 +14,19 @@ arguments and parses them with the same parser, so a wrong name, type or
 null in a manifest is the same usage error it would be on the command line.
 A manifest records the command's arguments once its defaults are resolved.
 
+The valid range of a value is stated once, by the constructor that uses it
+(``GGParams``, ``SamplerConfig``, ``LeapfrogConfig``, ``HistogramSpec``,
+``WaveletOperator``).  Each command builds those objects inside ``_usage``
+before it creates its output directory, so an out-of-range value is a
+usage error and a usage error writes nothing.
+
 Exit codes: 0 success, 2 usage error, 3 file/parse error, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -41,6 +48,15 @@ __all__ = ["cmd_exp1", "cmd_exp2", "cmd_exp3", "cmd_sample", "cmd_replay", "main
 
 class UsageError(Exception):
     """Bad command-line values; maps to exit code 2."""
+
+
+@contextlib.contextmanager
+def _usage():
+    """Turn a constructor's ``ValueError`` into a ``UsageError``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,13 +117,11 @@ def _prepare_out_dir(out_dir) -> Path:
     return path
 
 
-def _check_gg_args(p: float, lam: float, iterations: int) -> None:
-    if not (math.isfinite(p) and p >= 1):
-        raise UsageError(f"p must be finite and >= 1, got {p}")
-    if not (math.isfinite(lam) and lam > 0):
-        raise UsageError(f"lam must be finite and positive, got {lam}")
-    if iterations < 1:
-        raise UsageError(f"iterations must be >= 1, got {iterations}")
+def _chain_acf(chain: np.ndarray, max_lag: int) -> np.ndarray:
+    """``acf`` of a chain; NaN at every lag for a chain that never moved."""
+    if chain.min() == chain.max():
+        return np.full(max_lag + 1, math.nan)
+    return acf(chain, max_lag)
 
 
 def _checkpoints(iterations: int, points: int = 200) -> np.ndarray:
@@ -132,41 +146,38 @@ def cmd_exp1(
     """1-D generalized Gaussian: proximal HMC against both Metropolis baselines.
 
     Writes mse_curve.csv (histogram MSE against the target density as each
-    chain grows) and acf.csv (post-burn-in autocorrelations).
+    chain grows) and acf.csv (post-burn-in autocorrelations, nan for a chain
+    that never moved).
     """
-    _check_gg_args(p, lam, iterations)
-    out = _prepare_out_dir(out_dir)
-    t0 = time.perf_counter()
     if burn_in is None:
         burn_in = iterations // 4
-    if not 0 <= burn_in < iterations:
-        raise UsageError(
-            f"burn-in must lie in [0, iterations), got {burn_in} of {iterations}"
-        )
+    with _usage():
+        params = GGParams(gamma=lam, p=p)
+        configs = {
+            "nshmc2": SamplerConfig(
+                kind="nshmc2",
+                iterations=iterations,
+                burn_in=burn_in,
+                seed=seed + 1,
+                leapfrog=LeapfrogConfig(epsilon=eps, steps=steps),
+            ),
+            "rwmh": SamplerConfig(
+                kind="rwmh", iterations=iterations, burn_in=burn_in, seed=seed + 2
+            ),
+            "indmh": SamplerConfig(
+                kind="indmh", iterations=iterations, burn_in=burn_in, seed=seed + 3
+            ),
+        }
     if max_lag < 1 or max_lag >= iterations - burn_in:
         raise UsageError(
             f"max-lag {max_lag} does not fit the {iterations - burn_in} retained samples"
         )
-    params = GGParams(gamma=lam, p=p)
+    out = _prepare_out_dir(out_dir)
+    t0 = time.perf_counter()
     energy = gg_energy(params)
     spec = HistogramSpec()
     pdf = lambda t: gg_density(t, params)
 
-    configs = {
-        "nshmc2": SamplerConfig(
-            kind="nshmc2",
-            iterations=iterations,
-            burn_in=burn_in,
-            seed=seed + 1,
-            leapfrog=LeapfrogConfig(epsilon=eps, steps=steps),
-        ),
-        "rwmh": SamplerConfig(
-            kind="rwmh", iterations=iterations, burn_in=burn_in, seed=seed + 2
-        ),
-        "indmh": SamplerConfig(
-            kind="indmh", iterations=iterations, burn_in=burn_in, seed=seed + 3
-        ),
-    }
     records = {
         name: run_chain(np.zeros(1), energy, cfg) for name, cfg in configs.items()
     }
@@ -182,7 +193,7 @@ def cmd_exp1(
         mse_rows.append(row)
     _write_csv(out / "mse_curve.csv", ["iteration"] + names, mse_rows)
 
-    acfs = {name: acf(records[name].kept[:, 0], max_lag) for name in names}
+    acfs = {name: _chain_acf(records[name].kept[:, 0], max_lag) for name in names}
     acf_rows = [
         [lag] + [acfs[name][lag] for name in names] for lag in range(max_lag + 1)
     ]
@@ -202,13 +213,12 @@ def cmd_exp1(
 _EXP2_BINS = {2: 20, 3: 12, 4: 8}
 
 
-def _mv_heights(samples: np.ndarray, bins: int, lo: float, hi: float) -> np.ndarray:
+def _mv_heights(samples: np.ndarray, spec: HistogramSpec) -> np.ndarray:
     dim = samples.shape[1]
     counts, _ = np.histogramdd(
-        samples, bins=[bins] * dim, range=[(lo, hi)] * dim
+        samples, bins=[spec.bins] * dim, range=[(spec.lo, spec.hi)] * dim
     )
-    volume = ((hi - lo) / bins) ** dim
-    return counts.ravel() / (len(samples) * volume)
+    return counts.ravel() / (len(samples) * spec.width**dim)
 
 
 def _time_to_threshold(
@@ -251,67 +261,53 @@ def cmd_exp2(
     """
     if dim not in (2, 3, 4):
         raise UsageError(f"dim must be one of 2, 3, 4; got {dim}")
-    _check_gg_args(p, lam, iterations)
-    out = _prepare_out_dir(out_dir)
-    t0 = time.perf_counter()
     if bins is None:
         bins = _EXP2_BINS[dim]
-    lo, hi = -5.0, 5.0
-    params = GGParams(gamma=lam, p=p)
+    with _usage():
+        params = GGParams(gamma=lam, p=p)
+        spec = HistogramSpec(bins=bins)
+        configs = {
+            "nshmc2": SamplerConfig(
+                kind="nshmc2",
+                iterations=iterations,
+                seed=seed + 1,
+                leapfrog=LeapfrogConfig(epsilon=eps, steps=steps),
+            ),
+            "rwmh": SamplerConfig(kind="rwmh", iterations=iterations, seed=seed + 2),
+        }
+    out = _prepare_out_dir(out_dir)
+    t0 = time.perf_counter()
     energy = gg_energy(params, dimension=dim)
 
     ref_rng = np.random.default_rng(seed + 4)
     reference = _mv_heights(
-        gg_direct_sample(params, ref_rng, size=(10 * iterations, dim)), bins, lo, hi
+        gg_direct_sample(params, ref_rng, size=(10 * iterations, dim)), spec
     )
+
+    def mse(samples):
+        return float(np.mean((_mv_heights(samples, spec) - reference) ** 2))
+
     floor_rng = np.random.default_rng(seed + 5)
     direct = gg_direct_sample(params, floor_rng, size=(iterations, dim))
     threshold = float(
         np.mean(
             [
-                np.mean(
-                    (
-                        _mv_heights(
-                            gg_direct_sample(
-                                params, floor_rng, size=(_FLOOR_DRAWS, dim)
-                            ),
-                            bins,
-                            lo,
-                            hi,
-                        )
-                        - reference
-                    )
-                    ** 2
-                )
+                mse(gg_direct_sample(params, floor_rng, size=(_FLOOR_DRAWS, dim)))
                 for _ in range(_FLOOR_REPLICATES)
             ]
         )
     )
 
-    configs = {
-        "nshmc2": SamplerConfig(
-            kind="nshmc2",
-            iterations=iterations,
-            seed=seed + 1,
-            leapfrog=LeapfrogConfig(epsilon=eps, steps=steps),
-        ),
-        "rwmh": SamplerConfig(kind="rwmh", iterations=iterations, seed=seed + 2),
-    }
     chains = {
         name: run_chain(np.zeros(dim), energy, cfg).samples
         for name, cfg in configs.items()
     }
 
     ticks = _checkpoints(iterations)
-    curves: dict[str, np.ndarray] = {}
-    for name, samples in [("nshmc2", chains["nshmc2"]), ("rwmh", chains["rwmh"]),
-                          ("direct_floor", direct)]:
-        curves[name] = np.asarray(
-            [
-                float(np.mean((_mv_heights(samples[:t], bins, lo, hi) - reference) ** 2))
-                for t in ticks
-            ]
-        )
+    curves = {
+        name: np.asarray([mse(samples[:t]) for t in ticks])
+        for name, samples in (*chains.items(), ("direct_floor", direct))
+    }
 
     mse_rows = [
         [int(t), curves["nshmc2"][i], curves["rwmh"][i], curves["direct_floor"][i]]
@@ -358,11 +354,6 @@ def cmd_exp3(
     """
     if noise_var < 0 or not math.isfinite(noise_var):
         raise UsageError(f"noise variance must be finite and >= 0, got {noise_var}")
-    if iterations < 1 or not 0 <= burn_in < iterations:
-        raise UsageError(
-            f"need 0 <= burn-in < iterations, got {burn_in} of {iterations}"
-        )
-    out = _prepare_out_dir(out_dir)
     t0 = time.perf_counter()
     clean = synthetic_blocks() if input_pgm is None else pgm_read(input_pgm)
     height, width = clean.shape
@@ -371,16 +362,20 @@ def cmd_exp3(
             raise UsageError(
                 f"image dimensions must be powers of two, got {width}x{height}"
             )
+    with _usage():
+        wavelet = WaveletOperator(width=width, height=height, levels=levels)
+        sampler = SamplerConfig(
+            kind="nshmc2",
+            iterations=iterations,
+            burn_in=burn_in,
+            leapfrog=LeapfrogConfig(epsilon=eps, steps=steps),
+        )
+    out = _prepare_out_dir(out_dir)
 
     noise_rng = np.random.default_rng(seed + 1)
     noisy = clean + math.sqrt(noise_var) * noise_rng.standard_normal(clean.shape)
 
-    model = DenoiseModel(
-        observed=noisy, wavelet=WaveletOperator(width=width, height=height, levels=levels)
-    )
-    sampler = SamplerConfig(
-        kind="nshmc2", iterations=1, leapfrog=LeapfrogConfig(epsilon=eps, steps=steps)
-    )
+    model = DenoiseModel(observed=noisy, wavelet=wavelet)
     estimate, record, hyper = gibbs_denoise_run(
         model, iterations=iterations, burn_in=burn_in, sampler=sampler, seed=seed
     )
@@ -463,10 +458,8 @@ def _build_spec(text: str, what: str, table: dict, **run):
             opts[key] = float(value)
         except ValueError:
             raise UsageError(f"non-numeric {what} option {item!r} in {text!r}") from None
-    try:
+    with _usage():
         return make(name, opts, **run)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def cmd_sample(
@@ -486,12 +479,12 @@ def cmd_sample(
     """
     if dim < 1:
         raise UsageError(f"dim must be >= 1, got {dim}")
-    out = _prepare_out_dir(out_dir)
-    t0 = time.perf_counter()
     energy = _build_spec(target, "target", _TARGETS)
     config = _build_spec(
         sampler, "sampler", _SAMPLERS, iterations=iterations, burn_in=burn_in, seed=seed
     )
+    out = _prepare_out_dir(out_dir)
+    t0 = time.perf_counter()
     record = run_chain(np.zeros(dim), energy, config)
     if record.divergent is not None and record.divergent.all():
         raise ValueError(
@@ -507,8 +500,7 @@ def cmd_sample(
     ]
     _write_csv(out / "chain.csv", header, rows)
 
-    moved = len(kept) > 2 and kept[:, 0].min() < kept[:, 0].max()
-    lag1 = acf(kept[:, 0], 1)[1] if moved else math.nan
+    lag1 = _chain_acf(kept[:, 0], 1)[1]
     _write_manifest(out, ["chain.csv"], t0)
     divergent = 0 if record.divergent is None else int(record.divergent.sum())
     print(
@@ -640,7 +632,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PgmParseError, OSError, json.JSONDecodeError) as exc:
+    except (PgmParseError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError) as exc:

@@ -24,6 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .convex import (
+    _check_power_params,
+    _check_quad_l1_params,
     power_residual,
     prox_power,
     prox_quad_l1,
@@ -41,7 +43,6 @@ __all__ = [
     "gg_cdf",
     "gg_energy",
     "quad_l1_energy",
-    "gaussian_momentum_sample",
     "gg_direct_sample",
     "ig_sample",
     "hamiltonian_eval",
@@ -60,10 +61,7 @@ class GGParams:
     p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
-        if not (math.isfinite(self.p) and self.p >= 1):
-            raise ValueError(f"p must be finite and >= 1, got {self.p}")
+        _check_power_params(self.gamma, self.p)
 
 
 @dataclass(frozen=True)
@@ -232,10 +230,7 @@ def quad_l1_energy(a: float, b: float, dimension: int | None = None) -> Potentia
     |x| <= a, and sign(x) * (a + 2b|x|) / (1 + 2b) otherwise, which stays
     at +-a for b = 0 however large |x| is.
     """
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"a must be finite and positive, got {a}")
-    if not (math.isfinite(b) and b >= 0):
-        raise ValueError(f"b must be finite and non-negative, got {b}")
+    _check_quad_l1_params(a, b)
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -259,13 +254,6 @@ def quad_l1_energy(a: float, b: float, dimension: int | None = None) -> Potentia
     return PotentialEnergy(
         value=value, subgrad=subgrad, prox=prox, dimension=dimension, residual=residual
     )
-
-
-def gaussian_momentum_sample(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an N(0, I_n) momentum vector."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return rng.standard_normal(n)
 
 
 def gg_direct_sample(params: GGParams, rng: np.random.Generator, size=None):

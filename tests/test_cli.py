@@ -176,6 +176,9 @@ def test_replay_rejects_bad_manifests(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main(["replay", str(broken)]) == 3
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    assert main(["replay", str(undecodable)]) == 3
 
 
 def _drop_iterations(manifest):
@@ -283,9 +286,51 @@ def test_main_usage_errors_exit_2(tmp_path):
     assert main(["exp1", "--p", "0.5", "--out-dir", d]) == 2
     assert main(["exp1", "-n", "400", "--max-lag", "400", "--out-dir", d]) == 2
     assert main(["exp1", "-n", "100", "--burn-in", "100", "--out-dir", d]) == 2
+    assert main(["exp3", "--levels", "9", "--out-dir", d]) == 2
     assert main(["sample", "--sampler", "hmcx", "--out-dir", d]) == 2
     assert main(["sample", "--target", "gg:p=abc", "--out-dir", d]) == 2
     assert main(["sample", "--sampler", "rwmh:std=-1", "--out-dir", d]) == 2
+
+
+# Each command with small run lengths, and every option it takes except
+# --out-dir and --input-pgm.
+_SWEEP_COMMANDS = {
+    "exp1": (["-n", "200"],
+             ["seed", "p", "lam", "iterations", "burn-in", "eps", "steps", "max-lag"]),
+    "exp2": (["-n", "200"],
+             ["seed", "dim", "p", "lam", "iterations", "eps", "steps", "bins"]),
+    "exp3": (["-n", "4", "--burn-in", "1"],
+             ["seed", "noise-var", "iterations", "burn-in", "eps", "steps", "levels"]),
+    "sample": (["-n", "20"],
+               ["seed", "target", "sampler", "iterations", "burn-in", "dim"]),
+}
+_SWEEP_VALUES = ["0", "-1", "nan", "inf", "-inf", "2.5", "x"]
+
+
+def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys):
+    # Every value either runs or is a usage error that says why and writes
+    # nothing; none is reported as a numeric failure.
+    for command, (base, options) in _SWEEP_COMMANDS.items():
+        for option in options:
+            for value in _SWEEP_VALUES:
+                out = tmp_path / f"{command}-{option}-{value}"
+                argv = [command, *base, f"--{option}={value}", f"--out-dir={out}"]
+                capsys.readouterr()
+                code = main(argv)
+                assert code in (0, 2), argv
+                if code == 2:
+                    assert capsys.readouterr().err.startswith("error: "), argv
+                    assert not out.exists(), argv
+
+
+def test_exp1_unmoved_chain_has_nan_acf(tmp_path):
+    # At eps = 0 every nshmc2 trajectory returns to its start: the chain
+    # never moves, so its autocorrelation is undefined.
+    assert main(["exp1", "-n", "200", "--eps", "0", "--out-dir", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "acf.csv")
+    assert header == ["lag", "nshmc2", "rwmh", "indmh"]
+    assert all(r[1] == "nan" for r in rows)
+    assert all(r[2] != "nan" and r[3] != "nan" for r in rows)
 
 
 def test_main_file_errors_exit_3(tmp_path):

@@ -18,7 +18,6 @@ from nshmc.model import (
     IGParams,
     PhaseState,
     PotentialEnergy,
-    gaussian_momentum_sample,
     gg_cdf,
     gg_density,
     gg_direct_sample,
@@ -297,16 +296,6 @@ def test_params_validation():
         IGParams(0.0, 1.0)
     with pytest.raises(ValueError):
         IGParams(1.0, -2.0)
-
-
-def test_gaussian_momentum():
-    v = gaussian_momentum_sample(3, np.random.default_rng(0))
-    assert v.shape == (3,)
-    big = gaussian_momentum_sample(10**5, np.random.default_rng(1))
-    assert abs(big.mean()) < 0.02
-    assert abs(big.var() - 1.0) < 0.03
-    with pytest.raises(ValueError):
-        gaussian_momentum_sample(0, np.random.default_rng(0))
 
 
 def test_capability_error_is_value_error():
