@@ -23,7 +23,7 @@ from .convex import (
     subgrad_abs_sample,
 )
 from .denoise import DenoiseModel, denoise_energy, gibbs_denoise_run, synthetic_blocks
-from .diagnostics import HistogramSpec, acf, histogram_mse, snr, ssim
+from .diagnostics import HistogramSpec, acf, histogram_mse, prefix_heights, snr, ssim
 from .integrators import (
     PROX,
     SMOOTH,
@@ -59,6 +59,6 @@ from .samplers import (
     run_chain,
     rwmh_iteration,
 )
-from .wavelet import WaveletOperator, haar_forward, haar_inverse
+from .wavelet import WaveletOperator
 
 __version__ = "0.1.0"

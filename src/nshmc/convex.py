@@ -50,14 +50,10 @@ _MAX_BRACKET = 2.0**60
 class ScalarConvexFn:
     """A proper convex function on the real line.
 
-    ``kind`` names the family ("abs", "scaled_abs", "power", "quad_l1" or
-    "custom") and ``params`` holds its constants.  ``fn`` evaluates the
-    function and must be convex; nothing here verifies that, but the test
-    suite samples the secant inequality for every built-in.
+    ``fn`` evaluates the function and must be convex; nothing here verifies
+    that, but the test suite samples the secant inequality for every built-in.
     """
 
-    kind: str
-    params: dict
     fn: Callable[[float], float]
 
     def __call__(self, u: float) -> float:
@@ -66,35 +62,31 @@ class ScalarConvexFn:
 
 def abs_fn() -> ScalarConvexFn:
     """|u|."""
-    return ScalarConvexFn("abs", {}, abs)
+    return ScalarConvexFn(abs)
 
 
 def scaled_abs_fn(t: float) -> ScalarConvexFn:
     """t * |u| for t > 0."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"scale must be finite and positive, got {t}")
-    return ScalarConvexFn("scaled_abs", {"t": t}, lambda u: t * abs(u))
+    return ScalarConvexFn(lambda u: t * abs(u))
 
 
 def power_fn(gamma: float, p: float) -> ScalarConvexFn:
     """|u|**p / gamma for gamma > 0 and p >= 1."""
     _check_power_params(gamma, p)
-    return ScalarConvexFn(
-        "power", {"gamma": gamma, "p": p}, lambda u: abs(u) ** p / gamma
-    )
+    return ScalarConvexFn(lambda u: abs(u) ** p / gamma)
 
 
 def quad_l1_fn(a: float, b: float) -> ScalarConvexFn:
     """a * |u| + b * u**2 for a > 0, b >= 0."""
     _check_quad_l1_params(a, b)
-    return ScalarConvexFn(
-        "quad_l1", {"a": a, "b": b}, lambda u: a * abs(u) + b * u * u
-    )
+    return ScalarConvexFn(lambda u: a * abs(u) + b * u * u)
 
 
 def custom_fn(evaluator: Callable[[float], float]) -> ScalarConvexFn:
     """Wrap an arbitrary convex evaluator (convexity is the caller's promise)."""
-    return ScalarConvexFn("custom", {}, evaluator)
+    return ScalarConvexFn(evaluator)
 
 
 def _check_power_params(gamma: float, p: float) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "HistogramSpec",
     "histogram_mse",
+    "prefix_heights",
     "acf",
     "snr",
     "ssim",
@@ -25,8 +26,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HistogramSpec:
-    """Binning of the real line used by histogram_mse: [lo, hi) split into
-    equal-width bins."""
+    """Equal-width bins over [lo, hi] on each axis, for histogram_mse and
+    prefix_heights; prefix_heights states which bin holds a value on an edge."""
 
     lo: float = -5.0
     hi: float = 5.0
@@ -50,6 +51,29 @@ class HistogramSpec:
         return 0.5 * (edges[:-1] + edges[1:])
 
 
+def prefix_heights(samples, ends, spec: HistogramSpec) -> Iterator[np.ndarray]:
+    """Density-normalized histogram heights of samples[:t] for each t in ends.
+
+    samples has shape (n,) or (n, d) and is binned on spec's grid along every
+    axis; each yield is count / (t * width**d) over the bins**d cells in C
+    order.  Bin k holds [e_k, e_k+1) of the edges linspace(lo, hi, bins + 1),
+    the last bin also holds hi, and values outside [lo, hi] are dropped:
+    numpy's rule.  ends must increase strictly within [1, n].  Each sample is
+    binned once, into one count vector that carries over between ends.
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if sorted(set(ends)) != list(ends) or not all(1 <= t <= len(x) for t in ends):
+        raise ValueError(f"ends must increase strictly within [1, {len(x)}]")
+    dim = x.shape[1]
+    grid = {"bins": [spec.bins] * dim, "range": [(spec.lo, spec.hi)] * dim}
+    counts = np.zeros(spec.bins**dim)
+    for start, t in zip([0, *ends], ends):
+        counts += np.histogramdd(x[start:t], **grid)[0].ravel()
+        yield counts / (t * spec.width**dim)
+
+
 def histogram_mse(
     samples: np.ndarray, pdf: Callable[[float], float], spec: HistogramSpec
 ) -> float:
@@ -62,12 +86,11 @@ def histogram_mse(
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("histogram_mse needs at least one sample")
-    counts, _ = np.histogram(x, bins=spec.bins, range=(spec.lo, spec.hi))
-    if counts.sum() == 0:
+    heights = next(prefix_heights(x, [x.size], spec))
+    if not heights.any():
         raise ValueError(
             f"no samples inside histogram range [{spec.lo}, {spec.hi}]"
         )
-    heights = counts / (x.size * spec.width)
     target = np.asarray([float(pdf(c)) for c in spec.centers])
     return float(np.mean((heights - target) ** 2))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["WaveletOperator", "haar_forward", "haar_inverse"]
+__all__ = ["WaveletOperator"]
 
 _S2 = math.sqrt(2.0)
 
@@ -88,15 +88,3 @@ class WaveletOperator:
             arr[:h, :w] = sub
         return arr
 
-
-def haar_forward(image: np.ndarray, levels: int = 3) -> np.ndarray:
-    """Convenience wrapper building the operator from the image shape."""
-    arr = np.asarray(image, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {arr.shape}")
-    op = WaveletOperator(width=arr.shape[1], height=arr.shape[0], levels=levels)
-    return op.forward(arr)
-
-
-def haar_inverse(coeffs: np.ndarray, op: WaveletOperator) -> np.ndarray:
-    return op.inverse(coeffs)

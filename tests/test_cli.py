@@ -11,8 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nshmc import cli
 from nshmc.cli import cmd_exp1, cmd_exp2, cmd_exp3, cmd_replay, cmd_sample, main
+from nshmc.diagnostics import HistogramSpec, histogram_mse
+from nshmc.model import GGParams, gg_density, gg_direct_sample
 from nshmc.pgm import pgm_read, pgm_write
+from nshmc.samplers import run_chain
 
 
 def _read_csv(path):
@@ -66,6 +70,66 @@ def test_exp2_outputs(tmp_path):
         assert r[2] in ("0", "1")
         assert float(r[3]) > 0.0
     assert set(res["thresholds"]) == {"nshmc2", "rwmh"}
+
+
+# The per-prefix curves that exp1 and exp2 computed before the running
+# counts, kept as the reference for cli._mse_curve.
+def _exp1_reference_curve(samples, ends, params, spec):
+    pdf = lambda t: gg_density(t, params)
+    return np.array([histogram_mse(samples[:t], pdf, spec) for t in ends])
+
+
+def _exp2_reference_heights(samples, spec):
+    dim = samples.shape[1]
+    counts, _ = np.histogramdd(
+        samples, bins=[spec.bins] * dim, range=[(spec.lo, spec.hi)] * dim
+    )
+    return counts.ravel() / (len(samples) * spec.width**dim)
+
+
+_UNEVEN_ENDS = [1, 2, 3, 10, 11, 64, 200, 201, 777, 1000]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_mse_curve_matches_per_prefix_reference(p, dim):
+    params = GGParams(gamma=1.0, p=p)
+    rng = np.random.default_rng(dim)
+    samples = gg_direct_sample(params, rng, size=(1000, dim))
+    if dim == 1:
+        spec = HistogramSpec()
+        target = np.asarray([float(gg_density(c, params)) for c in spec.centers])
+        want = _exp1_reference_curve(samples[:, 0], _UNEVEN_ENDS, params, spec)
+    else:
+        spec = HistogramSpec(bins=cli._EXP2_BINS[dim])
+        ref = gg_direct_sample(params, rng, size=(5000, dim))
+        target = _exp2_reference_heights(ref, spec)
+        want = np.array(
+            [
+                np.mean((_exp2_reference_heights(samples[:t], spec) - target) ** 2)
+                for t in _UNEVEN_ENDS
+            ]
+        )
+    assert np.array_equal(cli._mse_curve(samples, _UNEVEN_ENDS, target, spec), want)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_exp1_curve_matches_histogram_mse_per_prefix(tmp_path, monkeypatch, p):
+    chains = []
+
+    def recording_run_chain(*args, **kwargs):
+        record = run_chain(*args, **kwargs)
+        chains.append(record.samples[:, 0])
+        return record
+
+    monkeypatch.setattr(cli, "run_chain", recording_run_chain)
+    cmd_exp1(p=p, lam=1.0, iterations=500, seed=3, out_dir=tmp_path)
+    _, rows = _read_csv(tmp_path / "mse_curve.csv")
+    ticks = [int(r[0]) for r in rows]
+    params = GGParams(gamma=1.0, p=p)
+    for column, samples in enumerate(chains, start=1):
+        want = _exp1_reference_curve(samples, ticks, params, HistogramSpec())
+        assert [float(r[column]) for r in rows] == list(want)
 
 
 def test_exp3_outputs(tmp_path):
@@ -287,6 +351,9 @@ def test_main_usage_errors_exit_2(tmp_path):
     assert main(["exp1", "-n", "400", "--max-lag", "400", "--out-dir", d]) == 2
     assert main(["exp1", "-n", "100", "--burn-in", "100", "--out-dir", d]) == 2
     assert main(["exp3", "--levels", "9", "--out-dir", d]) == 2
+    cells = tmp_path / "cells"
+    assert main(["exp2", "-n", "200", "--bins", "100000", "--out-dir", str(cells)]) == 2
+    assert not cells.exists()
     assert main(["sample", "--sampler", "hmcx", "--out-dir", d]) == 2
     assert main(["sample", "--target", "gg:p=abc", "--out-dir", d]) == 2
     assert main(["sample", "--sampler", "rwmh:std=-1", "--out-dir", d]) == 2

@@ -11,6 +11,7 @@ from nshmc.diagnostics import (
     _ssim_window,
     acf,
     histogram_mse,
+    prefix_heights,
     snr,
     ssim,
 )
@@ -84,6 +85,48 @@ def test_histogram_mse_input_errors():
         histogram_mse(np.array([]), _pdf, HistogramSpec())
     with pytest.raises(ValueError, match="range"):
         histogram_mse(np.full(10, 100.0), _pdf, HistogramSpec())
+
+
+# ------------------------------------------------------------- prefix heights
+
+
+def test_prefix_heights_edge_rule():
+    # Bins are [e_k, e_k+1), the last one also holds hi, and values just
+    # outside [lo, hi] are dropped but still count in the sample size.
+    spec = HistogramSpec(lo=0.0, hi=1.0, bins=4)
+    x = [0.0, 0.25, 0.5, 1.0, np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)]
+    (heights,) = prefix_heights(x, [6], spec)
+    assert np.array_equal(heights, np.full(4, 1.0 / (6 * 0.25)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "spec",
+    [HistogramSpec(), HistogramSpec(lo=-2.0, hi=3.0, bins=5), HistogramSpec(-1.0, 0.7, 3)],
+)
+def test_prefix_heights_match_numpy_on_edges(spec, dim):
+    # Values drawn from every interior edge, lo, hi, the nearest floats
+    # outside the range and a few interior points.
+    rng = np.random.default_rng(dim)
+    edges = np.linspace(spec.lo, spec.hi, spec.bins + 1)
+    outside = [np.nextafter(spec.lo, -np.inf), np.nextafter(spec.hi, np.inf)]
+    pool = np.concatenate([edges, outside, rng.uniform(spec.lo, spec.hi, 20)])
+    x = rng.choice(pool, size=(300, dim))
+    ends = [1, 2, 9, 10, 57, 299, 300]
+    grid = {"bins": [spec.bins] * dim, "range": [(spec.lo, spec.hi)] * dim}
+    samples = x[:, 0] if dim == 1 else x
+    for t, heights in zip(ends, prefix_heights(samples, ends, spec), strict=True):
+        if dim == 1:
+            counts, _ = np.histogram(x[:t, 0], bins=spec.bins, range=(spec.lo, spec.hi))
+        else:
+            counts, _ = np.histogramdd(x[:t], **grid)
+        assert np.array_equal(heights, counts.ravel() / (t * spec.width**dim))
+
+
+def test_prefix_heights_rejects_bad_ends():
+    for ends in ([0], [3, 3], [5, 4], [11]):
+        with pytest.raises(ValueError, match="ends"):
+            list(prefix_heights(np.zeros(10), ends, HistogramSpec()))
 
 
 # ------------------------------------------------------------ autocorrelation

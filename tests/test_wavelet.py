@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from nshmc.wavelet import WaveletOperator, haar_forward, haar_inverse
+from nshmc.wavelet import WaveletOperator
 
 
 def test_single_level_constant_block():
-    c = haar_forward(np.ones((2, 2)), levels=1)
+    c = WaveletOperator(2, 2, 1).forward(np.ones((2, 2)))
     assert c[0] == pytest.approx(2.0, abs=1e-12)
     assert np.all(c[1:] == 0.0)
 
@@ -33,7 +33,7 @@ def test_round_trip():
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 255.0, size=(64, 64))
     op = WaveletOperator(width=64, height=64, levels=3)
-    back = haar_inverse(op.forward(x), op)
+    back = op.inverse(op.forward(x))
     assert np.max(np.abs(back - x)) < 1e-10
     fwd_again = op.forward(op.inverse(op.forward(x)))
     assert np.max(np.abs(fwd_again - op.forward(x))) < 1e-10
@@ -64,5 +64,3 @@ def test_shape_validation():
         op.forward(np.ones((8, 4)))
     with pytest.raises(ValueError, match="coefficients"):
         op.inverse(np.ones(60))
-    with pytest.raises(ValueError, match="2-D"):
-        haar_forward(np.ones(64))
