@@ -18,13 +18,21 @@ import numpy as np
 
 from nshmc.denoise import DenoiseModel, gibbs_denoise_run, synthetic_blocks
 from nshmc.diagnostics import snr, ssim
+from nshmc.integrators import LeapfrogConfig
 from nshmc.pgm import pgm_write
+from nshmc.samplers import SamplerConfig
 from nshmc.wavelet import WaveletOperator
 
 NOISE_VAR = 40.0
-ITERATIONS = 1000
-BURN_IN = 500
 SEED = 0
+# The x-update runs exp3's proximal HMC kernel: eps 0.5, 10 leapfrog steps.
+CONFIG = SamplerConfig(
+    kind="nshmc2",
+    iterations=1000,
+    burn_in=500,
+    seed=SEED,
+    leapfrog=LeapfrogConfig(epsilon=0.5, steps=10),
+)
 
 
 def main():
@@ -39,12 +47,10 @@ def main():
     model = DenoiseModel(
         observed=noisy, wavelet=WaveletOperator(width=64, height=64, levels=3)
     )
-    print(f"running {ITERATIONS} Gibbs sweeps ({BURN_IN} burn-in) ...")
-    estimate, record, hyper = gibbs_denoise_run(
-        model, iterations=ITERATIONS, burn_in=BURN_IN, seed=SEED
-    )
+    print(f"running {CONFIG.iterations} Gibbs sweeps ({CONFIG.burn_in} burn-in) ...")
+    estimate, record, hyper = gibbs_denoise_run(model, CONFIG)
 
-    lam = hyper["lambda"][BURN_IN:]
+    lam = hyper["lambda"][CONFIG.burn_in :]
     print(
         f"coefficient acceptance rate {record.acceptance_rate:.3f}, "
         f"posterior lambda {lam.mean():.2f} +- {lam.std():.2f}"

@@ -35,7 +35,6 @@ from .integrators import (
     leapfrog_subgrad_step,
 )
 from .model import (
-    CapabilityError,
     GGParams,
     IGParams,
     PhaseState,

@@ -357,10 +357,11 @@ def cmd_exp3(
             )
     with _usage():
         wavelet = WaveletOperator(width=width, height=height, levels=levels)
-        sampler = SamplerConfig(
+        config = SamplerConfig(
             kind="nshmc2",
             iterations=iterations,
             burn_in=burn_in,
+            seed=seed,
             leapfrog=LeapfrogConfig(epsilon=eps, steps=steps),
         )
     out = _prepare_out_dir(out_dir)
@@ -369,9 +370,7 @@ def cmd_exp3(
     noisy = clean + math.sqrt(noise_var) * noise_rng.standard_normal(clean.shape)
 
     model = DenoiseModel(observed=noisy, wavelet=wavelet)
-    estimate, record, hyper = gibbs_denoise_run(
-        model, iterations=iterations, burn_in=burn_in, sampler=sampler, seed=seed
-    )
+    estimate, record, hyper = gibbs_denoise_run(model, config)
 
     pgm_write(noisy, out / "noisy.pgm")
     pgm_write(estimate, out / "denoised.pgm")

@@ -18,7 +18,8 @@ x-update runs in the coefficient domain: one ``integrators.leapfrog``
 trajectory over all coefficients (L + 1 kicks for L steps), then a
 Metropolis test per coefficient, or a rejection of all of them when the
 trajectory diverged.  The posterior-mean estimate is the inverse
-transform of the averaged post-burn-in coefficients.
+transform of the averaged post-burn-in coefficients.  One ``SamplerConfig``
+sets the whole run: sweeps, burn-in, seed and the x-update's kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import prox_denoise_energy, prox_soft_threshold, subgrad_abs_sample
-from .integrators import LeapfrogConfig, leapfrog, select_kick
+from .integrators import leapfrog, select_kick
 from .model import IGParams, PotentialEnergy, ig_sample
 from .samplers import _HMC_SCHEMES, ChainRecord, SamplerConfig
 from .wavelet import WaveletOperator
@@ -128,10 +129,12 @@ def _coordinate_hmc_sweep(
     obs_coeffs: np.ndarray,
     sigma2: float,
     lam: float,
-    sampler: SamplerConfig,
+    config: SamplerConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
     """One HMC transition per coefficient, accepted coordinatewise.
+
+    ``config`` gives the kind of kick and the leapfrog settings.
 
     The x-conditional factorizes over coordinates, so a product of
     independent scalar transitions leaves it invariant exactly.  A single
@@ -144,8 +147,8 @@ def _coordinate_hmc_sweep(
     under reversal.
     """
     energy = denoise_energy(obs_coeffs, sigma2, lam)
-    kick = select_kick(energy, _HMC_SCHEMES[sampler.kind], rng)
-    lf = sampler.leapfrog
+    kick = select_kick(energy, _HMC_SCHEMES[config.kind], rng)
+    lf = config.leapfrog
     alpha = 1.0 / sigma2
 
     def coord_energy(v):
@@ -163,20 +166,16 @@ def _coordinate_hmc_sweep(
 
 
 def gibbs_denoise_run(
-    model: DenoiseModel,
-    iterations: int,
-    burn_in: int,
-    sampler: SamplerConfig | None = None,
-    seed: int = 0,
+    model: DenoiseModel, config: SamplerConfig
 ) -> tuple[np.ndarray, ChainRecord, dict]:
     """Run the Gibbs sampler and return (estimate, x-chain, hyper-chains).
 
-    ``sampler`` fixes the kernel of the x-update; only its kind and
-    leapfrog settings are consulted (one sweep of scalar transitions runs
-    per iteration, one per coefficient, accepted coordinatewise).  The
-    returned dict holds the "sigma2" and "lambda" chains, one value per
-    sweep, and the record's accepted column carries the per-sweep fraction
-    of accepted coefficients.
+    ``config`` sets the whole run, as it does for ``run_chain``: the number
+    of sweeps, the burn-in, the seed, and the kernel of the x-update, which
+    must be an HMC kind (one sweep of scalar transitions runs per iteration,
+    one per coefficient, accepted coordinatewise).  The returned dict holds
+    the "sigma2" and "lambda" chains, one value per sweep, and the record's
+    accepted column carries the per-sweep fraction of accepted coefficients.
 
     The x-chain must not start at the analysis coefficients Fy even though
     they are the likelihood mode: Fy interpolates the noise, so the joint
@@ -190,23 +189,11 @@ def gibbs_denoise_run(
     previous sigma2 on the measure-zero event of an exactly zero residual
     (a noiseless observation shrunk by a zero threshold).
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if not 0 <= burn_in < iterations:
-        raise ValueError(
-            f"burn_in must lie in [0, iterations), got {burn_in} with "
-            f"iterations {iterations}"
-        )
-    if sampler is None:
-        sampler = SamplerConfig(
-            kind="nshmc2",
-            iterations=1,
-            leapfrog=LeapfrogConfig(epsilon=0.5, steps=10),
-        )
-    if sampler.kind not in _HMC_SCHEMES:
-        raise ValueError(f"x-update needs an HMC kind, got {sampler.kind!r}")
+    if config.kind not in _HMC_SCHEMES:
+        raise ValueError(f"x-update needs an HMC kind, got {config.kind!r}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
+    iterations = config.iterations
     op = model.wavelet
     y = model.observed
     n = y.size
@@ -241,7 +228,7 @@ def gibbs_denoise_run(
             ),
             rng,
         )
-        x, frac = _coordinate_hmc_sweep(x, fy, sigma2, lam, sampler, rng)
+        x, frac = _coordinate_hmc_sweep(x, fy, sigma2, lam, config, rng)
         samples[r] = x
         accepted[r] = frac
         sigma2_chain[r] = sigma2
@@ -251,7 +238,7 @@ def gibbs_denoise_run(
         samples=samples,
         accepted=accepted,
         acceptance_rate=float(accepted.mean()),
-        burn_in=burn_in,
+        burn_in=config.burn_in,
     )
     estimate = op.inverse(record.kept.mean(axis=0))
     return estimate, record, {"sigma2": sigma2_chain, "lambda": lambda_chain}

@@ -110,6 +110,9 @@ def acf(chain: np.ndarray, max_lag: int) -> np.ndarray:
             f"chain of length {x.size} is too short for max_lag {max_lag}"
         )
     d = x - x.mean()
+    # An exact power-of-two scaling to max|d| in [0.5, 1) keeps the squares
+    # of a chain that moves on a tiny scale from underflowing to zero.
+    d = np.ldexp(d, -math.frexp(float(np.max(np.abs(d))))[1])
     denom = float(d @ d)
     if denom == 0.0:
         raise ValueError("autocorrelation of a constant chain is undefined")

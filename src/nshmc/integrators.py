@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CapabilityError, PhaseState, PotentialEnergy
+from .model import PhaseState, PotentialEnergy
 
 __all__ = [
     "SMOOTH",
@@ -72,13 +72,16 @@ class LeapfrogConfig:
 
 def select_kick(energy: PotentialEnergy, kind: str, rng=None):
     """The force of scheme ``kind`` as a function of position; raises
-    CapabilityError when the energy lacks the scheme's handle."""
+    ValueError naming the handle when the energy lacks it."""
     if kind not in _KINDS:
         raise ValueError(f"unknown integrator kind {kind!r}; expected {_KINDS}")
-    handles = {SMOOTH: energy.grad, SUBGRAD: energy.subgrad, PROX: energy.residual}
-    handle = handles[kind]
+    name, handle = {
+        SMOOTH: ("grad", energy.grad),
+        SUBGRAD: ("subgrad", energy.subgrad),
+        PROX: ("prox", energy.residual),
+    }[kind]
     if handle is None:
-        raise CapabilityError(f"{kind} leapfrog needs an energy with a {kind} handle")
+        raise ValueError(f"{kind} leapfrog needs an energy with a {name} handle")
     if kind == SUBGRAD:
         if rng is None:
             raise ValueError("subgradient scheme needs an rng for its draws")

@@ -34,7 +34,6 @@ from .convex import (
 )
 
 __all__ = [
-    "CapabilityError",
     "GGParams",
     "IGParams",
     "PhaseState",
@@ -47,10 +46,6 @@ __all__ = [
     "ig_sample",
     "hamiltonian_eval",
 ]
-
-
-class CapabilityError(ValueError):
-    """An energy lacks the first-order handle an algorithm asked for."""
 
 
 @dataclass(frozen=True)

@@ -206,12 +206,16 @@ def indep_mh_iteration(
 
     Because the proposal ignores the current state, the acceptance ratio
     picks up the proposal-density correction (|x*|^2 - |x|^2) / (2 std^2) on
-    top of the energy difference.
+    top of the energy difference.  It is taken from the standardized values
+    z = x* / std and w = x / std, so that no power of std under- or
+    overflows.
     """
     x = np.asarray(x, dtype=float)
-    proposal = proposal_std * rng.standard_normal(x.size)
+    z = rng.standard_normal(x.size)
+    proposal = proposal_std * z
+    w = x / proposal_std
     dlog = float(energy.value(x)) - float(energy.value(proposal))
-    dlog += (float(proposal @ proposal) - float(x @ x)) / (2.0 * proposal_std**2)
+    dlog += 0.5 * (float(z @ z) - float(w @ w))
     if math.isnan(dlog):
         raise ValueError("NaN acceptance ratio in independence Metropolis")
     if math.log(rng.random()) < dlog:
@@ -229,7 +233,8 @@ def run_chain(
     repeat the previous state.  HMC kinds pick their kick once, carry the
     potential energy of the current state from one transition to the next,
     record each transition's energy error, and reject diverged trajectories
-    (non-finite H) instead of failing.
+    (non-finite H) instead of failing.  A Metropolis proposal that overflows
+    has infinite energy and is rejected in the same way.
     """
     rng = np.random.default_rng(config.seed)
     x = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
@@ -258,9 +263,10 @@ def run_chain(
                 samples[r] = x
     else:
         mh_step = rwmh_iteration if config.kind == "rwmh" else indep_mh_iteration
-        for r in range(n_iter):
-            x, accepted[r] = mh_step(x, energy, config.proposal_std, rng)
-            samples[r] = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(n_iter):
+                x, accepted[r] = mh_step(x, energy, config.proposal_std, rng)
+                samples[r] = x
     return ChainRecord(
         samples=samples,
         accepted=accepted,

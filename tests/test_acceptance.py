@@ -323,9 +323,15 @@ def test_criterion_08_gibbs_conditionals_match_analytic_means():
     s2_draws = np.empty(m)
     lam_draws = np.empty(m)
     for seed in range(m):
-        _, _, hyp = gibbs_denoise_run(with_s2, 1, 0, seed=seed)
+        config = SamplerConfig(
+            kind="nshmc2",
+            iterations=1,
+            seed=seed,
+            leapfrog=LeapfrogConfig(epsilon=0.5, steps=10),
+        )
+        _, _, hyp = gibbs_denoise_run(with_s2, config)
         s2_draws[seed] = hyp["sigma2"][0]
-        _, _, hyp = gibbs_denoise_run(fixed_s2, 1, 0, seed=seed)
+        _, _, hyp = gibbs_denoise_run(fixed_s2, config)
         lam_draws[seed] = hyp["lambda"][0]
 
     shape, scale = n / 2.0, resid2 / 2.0

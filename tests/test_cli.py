@@ -471,6 +471,23 @@ def test_sample_without_accepted_proposal_exits_0(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "sampler", ["indmh:std=1e-308", "indmh:std=1e-200", "indmh:std=1e308", "rwmh:std=1e308"]
+)
+def test_sample_at_extreme_proposal_std_exits_0(tmp_path, capsys, sampler):
+    # A valid proposal_std never crashes the run: an overflowing proposal
+    # is a rejection, and a chain moving on a scale of 1e-200 still has an
+    # autocorrelation.
+    code = main(["sample", "--sampler", sampler, "-n", "200", "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    if sampler.endswith("e308"):
+        assert "acceptance rate 0.000" in out
+    else:
+        assert "lag-1 autocorrelation nan" not in out
+
+
+@pytest.mark.filterwarnings("error")
 def test_sample_divergences_are_rejections(tmp_path, capsys):
     # At eps = 2 the p = 3 gradient kick overflows on most trajectories.
     # Each diverged trajectory is a rejected proposal, so the chain is kept.

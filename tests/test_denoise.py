@@ -22,6 +22,17 @@ from nshmc.wavelet import WaveletOperator
 SIGMA2 = 40.0
 
 
+def _config(iterations, burn_in, seed, kind="nshmc2", epsilon=0.5, steps=10):
+    # eps 0.5 and 10 steps are exp3's x-update settings.
+    return SamplerConfig(
+        kind=kind,
+        iterations=iterations,
+        burn_in=burn_in,
+        seed=seed,
+        leapfrog=LeapfrogConfig(epsilon=epsilon, steps=steps),
+    )
+
+
 def _noisy_blocks(size, seed):
     clean = synthetic_blocks(size)
     noise = np.random.default_rng(seed).standard_normal(clean.shape)
@@ -99,9 +110,9 @@ def test_first_sweep_hyper_draws_match_conditional_means():
     s2_draws = np.empty(m)
     lam_draws = np.empty(m)
     for seed in range(m):
-        _, _, hyp = gibbs_denoise_run(with_s2, 1, 0, seed=seed)
+        _, _, hyp = gibbs_denoise_run(with_s2, _config(1, 0, seed))
         s2_draws[seed] = hyp["sigma2"][0]
-        _, _, hyp = gibbs_denoise_run(fixed_s2, 1, 0, seed=seed)
+        _, _, hyp = gibbs_denoise_run(fixed_s2, _config(1, 0, seed))
         lam_draws[seed] = hyp["lambda"][0]
 
     shape, scale = n / 2.0, resid2 / 2.0
@@ -118,7 +129,7 @@ def test_fixed_noise_variance_chain_is_constant_at_estimate():
     _, noisy = _noisy_blocks(16, 5)
     op = WaveletOperator(16, 16, 3)
     model = DenoiseModel(noisy, op)
-    _, _, hyp = gibbs_denoise_run(model, 20, 0, seed=0)
+    _, _, hyp = gibbs_denoise_run(model, _config(20, 0, 0))
     expected = _noise_variance_estimate(op.forward(noisy), op)
     assert np.all(hyp["sigma2"] == expected)
 
@@ -130,7 +141,7 @@ def test_noiseless_observation_keeps_noise_variance_small():
     model = DenoiseModel(
         synthetic_blocks(32), WaveletOperator(32, 32, 3), sample_noise_variance=True
     )
-    _, _, hyp = gibbs_denoise_run(model, 60, 0, seed=0)
+    _, _, hyp = gibbs_denoise_run(model, _config(60, 0, 0))
     s2 = hyp["sigma2"]
     assert np.all(np.isfinite(s2)) and np.all(s2 > 0.0)
     assert s2.mean() < 5.0
@@ -153,7 +164,7 @@ def test_noise_variance_estimator_accuracy():
 def test_small_run_improves_snr():
     clean, noisy = _noisy_blocks(32, 3)
     model = DenoiseModel(noisy, WaveletOperator(32, 32, 3))
-    estimate, record, hyp = gibbs_denoise_run(model, 150, 75, seed=1)
+    estimate, record, hyp = gibbs_denoise_run(model, _config(150, 75, 1))
     assert snr(clean, estimate) > snr(clean, noisy) + 1.0
     assert record.samples.shape == (150, 1024)
     assert record.kept.shape == (75, 1024)
@@ -163,22 +174,27 @@ def test_small_run_improves_snr():
 
 
 def test_run_is_deterministic_in_seed():
+    # The config sets the whole run: its iteration count sizes the record,
+    # its burn-in is the record's, and its seed alone picks the draws.
     _, noisy = _noisy_blocks(16, 11)
     model = DenoiseModel(noisy, WaveletOperator(16, 16, 3))
-    est_a, rec_a, hyp_a = gibbs_denoise_run(model, 30, 10, seed=4)
-    est_b, rec_b, hyp_b = gibbs_denoise_run(model, 30, 10, seed=4)
+    config = _config(30, 10, 4)
+    est_a, rec_a, hyp_a = gibbs_denoise_run(model, config)
+    assert rec_a.samples.shape[0] == config.iterations
+    assert rec_a.burn_in == config.burn_in
+    est_b, rec_b, hyp_b = gibbs_denoise_run(model, config)
     assert np.array_equal(est_a, est_b)
     assert np.array_equal(rec_a.samples, rec_b.samples)
     assert np.array_equal(hyp_a["lambda"], hyp_b["lambda"])
-    est_c, _, _ = gibbs_denoise_run(model, 30, 10, seed=5)
+    est_c, _, _ = gibbs_denoise_run(model, _config(30, 10, 5))
     assert not np.array_equal(est_a, est_c)
 
 
 def test_subgradient_kernel_also_runs():
     clean, noisy = _noisy_blocks(32, 8)
     model = DenoiseModel(noisy, WaveletOperator(32, 32, 3))
-    cfg = SamplerConfig(kind="nshmc1", iterations=1)
-    estimate, record, _ = gibbs_denoise_run(model, 80, 40, sampler=cfg, seed=2)
+    cfg = SamplerConfig(kind="nshmc1", iterations=80, burn_in=40, seed=2)
+    estimate, record, _ = gibbs_denoise_run(model, cfg)
     assert record.acceptance_rate > 0.2
     assert snr(clean, estimate) > snr(clean, noisy)
 
@@ -224,10 +240,8 @@ def test_sweep_matches_two_kick_reference_bitwise(
     model = DenoiseModel(
         noisy, WaveletOperator(32, 32, 3), sample_noise_variance=sample_noise_variance
     )
-    cfg = SamplerConfig(
-        kind=kind, iterations=1, leapfrog=LeapfrogConfig(epsilon=0.5, steps=10)
-    )
-    est, rec, hyp = gibbs_denoise_run(model, 25, 10, sampler=cfg, seed=3)
+    cfg = _config(25, 10, 3, kind=kind)
+    est, rec, hyp = gibbs_denoise_run(model, cfg)
     monkeypatch.setattr(
         nshmc.denoise,
         "_coordinate_hmc_sweep",
@@ -236,7 +250,7 @@ def test_sweep_matches_two_kick_reference_bitwise(
             cfg.kind, rng,
         ),
     )
-    ref_est, ref_rec, ref_hyp = gibbs_denoise_run(model, 25, 10, sampler=cfg, seed=3)
+    ref_est, ref_rec, ref_hyp = gibbs_denoise_run(model, cfg)
     assert np.array_equal(est, ref_est)
     assert np.array_equal(rec.samples, ref_rec.samples)
     assert np.array_equal(rec.accepted, ref_rec.accepted)
@@ -256,10 +270,7 @@ def test_prox_sweep_shares_kicks_between_steps(monkeypatch):
     _, noisy = _noisy_blocks(16, 2)
     model = DenoiseModel(noisy, WaveletOperator(16, 16, 3))
     steps = 7
-    cfg = SamplerConfig(
-        kind="nshmc2", iterations=1, leapfrog=LeapfrogConfig(epsilon=0.5, steps=steps)
-    )
-    gibbs_denoise_run(model, 1, 0, sampler=cfg, seed=0)
+    gibbs_denoise_run(model, _config(1, 0, 0, steps=steps))
     assert len(calls) == steps + 1
 
 
@@ -274,11 +285,8 @@ def test_divergent_sweep_is_a_rejection(kind):
     fy = op.forward(noisy)
     s2hat = _noise_variance_estimate(fy, op)
     x0 = prox_soft_threshold(fy, math.sqrt(s2hat * 2.0 * math.log(fy.size)))
-    cfg = SamplerConfig(
-        kind=kind, iterations=1, leapfrog=LeapfrogConfig(epsilon=1e200, steps=10)
-    )
     estimate, record, _ = gibbs_denoise_run(
-        DenoiseModel(noisy, op), 5, 0, sampler=cfg, seed=0
+        DenoiseModel(noisy, op), _config(5, 0, 0, kind=kind, epsilon=1e200)
     )
     assert np.array_equal(record.samples, np.tile(x0, (5, 1)))
     assert np.all(record.accepted == 0.0)
@@ -305,14 +313,8 @@ def test_model_validation():
 def test_run_validation():
     _, noisy = _noisy_blocks(16, 0)
     model = DenoiseModel(noisy, WaveletOperator(16, 16, 3))
-    with pytest.raises(ValueError, match="iterations"):
-        gibbs_denoise_run(model, 0, 0)
-    with pytest.raises(ValueError, match="burn_in"):
-        gibbs_denoise_run(model, 10, 10)
     with pytest.raises(ValueError, match="HMC"):
-        gibbs_denoise_run(
-            model, 10, 0, sampler=SamplerConfig(kind="rwmh", iterations=1)
-        )
+        gibbs_denoise_run(model, SamplerConfig(kind="rwmh", iterations=10))
 
 
 def test_synthetic_blocks_properties():

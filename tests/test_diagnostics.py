@@ -155,6 +155,14 @@ def test_acf_affine_invariance():
     assert np.allclose(acf(2.0 * x + 3.0, 20), acf(x, 20), atol=1e-12)
 
 
+def test_acf_is_exact_under_power_of_two_scaling():
+    # A chain moving on a scale of 1e-211 has squared deviations that
+    # underflow; acf must still see it move, with the same bits.
+    x = np.cumsum(np.random.default_rng(3).standard_normal(400))
+    assert np.array_equal(acf(np.ldexp(x, -700), 30), acf(x, 30))
+    assert np.array_equal(acf(np.ldexp(x, 700), 30), acf(x, 30))
+
+
 def test_acf_zero_lag_only():
     r = acf(np.array([1.0, 2.0, 5.0]), 0)
     assert r.shape == (1,)

@@ -13,7 +13,6 @@ from scipy.integrate import quad
 from scipy.stats import kstest, norm
 
 from nshmc.model import (
-    CapabilityError,
     GGParams,
     IGParams,
     PhaseState,
@@ -296,10 +295,6 @@ def test_params_validation():
         IGParams(0.0, 1.0)
     with pytest.raises(ValueError):
         IGParams(1.0, -2.0)
-
-
-def test_capability_error_is_value_error():
-    assert issubclass(CapabilityError, ValueError)
 
 
 def test_custom_energy_missing_handles():

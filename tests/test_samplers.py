@@ -420,6 +420,22 @@ def test_diverging_trajectory_is_a_rejection():
     assert not ok and np.array_equal(x, np.ones(2)) and error == math.inf
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("std", [1e-308, 1e-200, 1e308])
+@pytest.mark.parametrize("kind", ["rwmh", "indmh"])
+def test_mh_chain_runs_at_extreme_proposal_scales(kind, std):
+    # Any finite std > 0 is a valid config.  A tiny scale still moves the
+    # chain; at a huge one every proposal overflows or lies far out in the
+    # tails, so each is rejected, without an exception or a warning.
+    cfg = SamplerConfig(kind=kind, iterations=200, seed=1, proposal_std=std)
+    rec = run_chain(np.zeros(2), LAPLACE, cfg)
+    assert np.isfinite(rec.samples).all()
+    if std > 1.0:
+        assert not rec.accepted.any()
+    else:
+        assert rec.accepted.any()
+
+
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
 def test_run_chain_rejects_non_finite_initial_state(kind):
     for bad in (math.inf, math.nan):
