@@ -30,9 +30,6 @@ from .integrators import (
     SUBGRAD,
     LeapfrogConfig,
     integrate_trajectory,
-    leapfrog_prox_step,
-    leapfrog_smooth_step,
-    leapfrog_subgrad_step,
 )
 from .model import (
     GGParams,
@@ -52,11 +49,8 @@ from .samplers import (
     SAMPLER_KINDS,
     ChainRecord,
     SamplerConfig,
-    indep_mh_iteration,
-    mh_accept,
-    nshmc_iteration,
     run_chain,
-    rwmh_iteration,
+    transition,
 )
 from .wavelet import WaveletOperator
 

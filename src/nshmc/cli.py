@@ -217,6 +217,7 @@ def cmd_exp1(
 
 _EXP2_BINS = {2: 20, 3: 12, 4: 8}
 _MAX_CELLS = 2**20  # bins**dim above this is a usage error, not a MemoryError
+_MAX_NOISE_VAR = 1e150  # exp3's SSIM overflows from about 1e155 (noise scale ** 4)
 
 
 def _time_to_threshold(
@@ -345,8 +346,10 @@ def cmd_exp3(
     Adds white Gaussian noise of the requested variance, runs the Gibbs
     sampler, and writes noisy.pgm, denoised.pgm, metrics.csv and chain.csv.
     """
-    if noise_var < 0 or not math.isfinite(noise_var):
-        raise UsageError(f"noise variance must be finite and >= 0, got {noise_var}")
+    if not 0 <= noise_var <= _MAX_NOISE_VAR:
+        raise UsageError(
+            f"noise variance must lie in [0, {_MAX_NOISE_VAR:g}], got {noise_var}"
+        )
     t0 = time.perf_counter()
     clean = synthetic_blocks() if input_pgm is None else pgm_read(input_pgm)
     height, width = clean.shape

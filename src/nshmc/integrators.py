@@ -13,12 +13,13 @@ where the force, or kick, depends on the scheme:
     prox      the proximal residual x - prox_E(x).
 
 ``select_kick`` checks the energy's handles once per trajectory, and
-``leapfrog`` runs the trajectory in place on plain arrays.  It reuses the
-kick at the end of step k as the first half kick of step k + 1, so L steps
-take L + 1 kicks, not 2L; the two half kicks stay separate subtractions,
-so the arithmetic is that of L single steps composed.  A sampled
-subgradient is drawn once for both, which matters only at an interior
-position with a coordinate exactly on a kink.
+``leapfrog``, the one integrator that the samplers and the denoiser run,
+runs the trajectory in place on plain arrays.  It computes each half kick
+eps/2 * force(x) once and subtracts it at the end of step k and at the
+start of step k + 1, so L steps take L + 1 kicks, not 2L; the arithmetic
+is that of L single steps composed.  A sampled subgradient is drawn once
+for both, which matters only at an interior position with a coordinate
+exactly on a kink.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ __all__ = [
     "LeapfrogConfig",
     "select_kick",
     "leapfrog",
-    "leapfrog_smooth_step",
-    "leapfrog_subgrad_step",
-    "leapfrog_prox_step",
     "integrate_trajectory",
 ]
 
@@ -97,45 +95,23 @@ def leapfrog(x: np.ndarray, q: np.ndarray, kick, epsilon: float, steps: int):
     state is returned for the caller's Metropolis test to reject.
     """
     half = 0.5 * epsilon
-    force = kick(x)
+    half_kick = half * kick(x)
     try:
         for _ in range(steps):
-            q -= half * force
+            q -= half_kick
             x += epsilon * q
-            force = kick(x)
-            q -= half * force
+            half_kick = half * kick(x)
+            q -= half_kick
     except ValueError:
         if np.isfinite(x).all():
             raise
     return x, q
 
 
-def _integrate(state, energy, epsilon, steps, kind, rng=None) -> PhaseState:
-    kick = select_kick(energy, kind, rng)
-    x, q = leapfrog(state.position.copy(), state.momentum.copy(), kick, epsilon, steps)
-    return PhaseState(x, q)
-
-
-def leapfrog_smooth_step(state: PhaseState, energy: PotentialEnergy, epsilon: float):
-    """One leapfrog step driven by the exact gradient."""
-    return _integrate(state, energy, epsilon, 1, SMOOTH)
-
-
-def leapfrog_subgrad_step(state: PhaseState, energy: PotentialEnergy, epsilon, rng):
-    """One leapfrog step kicked by sampled subgradients; where E is
-    differentiable this reproduces ``leapfrog_smooth_step`` exactly."""
-    return _integrate(state, energy, epsilon, 1, SUBGRAD, rng)
-
-
-def leapfrog_prox_step(state: PhaseState, energy: PotentialEnergy, epsilon: float):
-    """One leapfrog step kicked by the proximal residual x - prox_E(x), a
-    subgradient of E at prox_E(x) and so a deterministic drop-in for the
-    sampled one."""
-    return _integrate(state, energy, epsilon, 1, PROX)
-
-
 def integrate_trajectory(
     state: PhaseState, energy: PotentialEnergy, config: LeapfrogConfig, kind, rng=None
 ) -> PhaseState:
-    """``config.steps`` leapfrog steps of the requested scheme."""
-    return _integrate(state, energy, config.epsilon, config.steps, kind, rng)
+    """``config.steps`` leapfrog steps of scheme ``kind``; ``state`` is unchanged."""
+    kick = select_kick(energy, kind, rng)
+    x, q = state.position.copy(), state.momentum.copy()
+    return PhaseState(*leapfrog(x, q, kick, config.epsilon, config.steps))

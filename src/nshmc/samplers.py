@@ -1,11 +1,14 @@
 """Markov chain samplers: non-smooth HMC and two Metropolis baselines.
 
-Every kernel shares the same Metropolis accept/reject rule on the total
-energy H: a proposal is kept with probability min{1, exp(H_current -
-H_proposal)}.  The HMC kernels generate proposals by integrating leapfrog
-trajectories with a fresh Gaussian momentum; the baselines are a symmetric
-random walk and an independence sampler with a fixed centered Gaussian
-proposal (whose acceptance ratio carries the usual proposal correction).
+Each kind is one transition, built by ``transition`` from its
+``SamplerConfig``: a proposal that comes with its log acceptance ratio,
+then one Metropolis test, shared by every kind.  The HMC kinds propose by
+integrating a leapfrog trajectory from a fresh Gaussian momentum, and
+their ratio is H_current - H_proposal on the total energy.  The baselines
+are a symmetric random walk and an independence sampler with a fixed
+centered Gaussian proposal, whose ratio carries the usual proposal
+correction.  A NaN ratio is a rejection for every kind.  ``run_chain``
+drives any transition with one loop.
 """
 
 from __future__ import annotations
@@ -28,10 +31,7 @@ __all__ = [
     "ChainRecord",
     "SAMPLER_KINDS",
     "DIVERGENCE_THRESHOLD",
-    "mh_accept",
-    "nshmc_iteration",
-    "rwmh_iteration",
-    "indep_mh_iteration",
+    "transition",
     "run_chain",
 ]
 
@@ -117,110 +117,63 @@ class ChainRecord:
         return ~(np.abs(self.energy_error) <= DIVERGENCE_THRESHOLD)
 
 
-def mh_accept(h_current: float, h_proposal: float, rng: np.random.Generator) -> bool:
-    """Metropolis test on total energies: accept with min{1, exp(dH)}.
+def transition(energy: PotentialEnergy, config: SamplerConfig, rng):
+    """The Markov transition of ``config.kind`` on ``energy``, drawing from ``rng``.
 
-    An infinite proposal energy always rejects; NaN on either side is a
-    domain error rather than a silent rejection.
+    Returns ``step(x, e) -> (x, e, accepted, energy_error)``: one proposal
+    from state x of finite energy e, kept when log u < its log acceptance
+    ratio for a fresh uniform u, so a NaN ratio is a rejection like any
+    other.  A proposal energy of -inf raises ValueError.  The energy error
+    is H(proposal) - H(current), with H = E for the Metropolis kinds.
+    ``run_chain`` calls it under ``np.errstate``, so overflow does not warn.
     """
-    if math.isnan(h_current) or math.isnan(h_proposal):
-        raise ValueError("NaN Hamiltonian passed to the Metropolis test")
-    if not math.isfinite(h_current):
-        raise ValueError(f"current Hamiltonian must be finite, got {h_current}")
-    if h_proposal == -math.inf:
-        raise ValueError("proposal Hamiltonian is -inf")
-    # log u < 0 <= dH accepts without querying exp, so no overflow possible.
-    return math.log(rng.random()) < h_current - h_proposal
+    std = config.proposal_std
+    if config.kind in _HMC_SCHEMES:
+        kick = select_kick(energy, _HMC_SCHEMES[config.kind], rng)
+        lf = config.leapfrog
 
+        def propose(x, e):
+            # A diverged trajectory has H = NaN; it counts as H = inf, so its
+            # energy error is inf.
+            q = rng.standard_normal(x.size)
+            h0 = e + 0.5 * float(q @ q)
+            xp, qp = leapfrog(x.copy(), q, kick, lf.epsilon, lf.steps)
+            ep = float(energy.value(xp))
+            h1 = ep + 0.5 * float(qp @ qp)
+            if math.isnan(h1):
+                h1 = math.inf
+            return xp, ep, h0 - h1, h1 - h0
 
-def nshmc_iteration(
-    x: np.ndarray,
-    energy: PotentialEnergy,
-    config: SamplerConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, bool, float]:
-    """One HMC transition: fresh momentum, leapfrog trajectory, Metropolis test.
+    elif config.kind == "rwmh":
 
-    Returns the next state, whether the proposal was accepted, and the
-    trajectory's energy error H(proposal) - H(current).
-    """
-    if config.kind not in _HMC_SCHEMES:
-        raise ValueError(f"nshmc_iteration got a non-HMC config kind {config.kind!r}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    kick = select_kick(energy, _HMC_SCHEMES[config.kind], rng)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, _, ok, error = _hmc_transition(
-            x, float(energy.value(x)), energy, kick, config.leapfrog, rng
-        )
-    return x, ok, error
+        def propose(x, e):
+            # N(x, std^2 I) is symmetric: the ratio is the energy difference.
+            xp = x + std * rng.standard_normal(x.size)
+            ep = float(energy.value(xp))
+            return xp, ep, e - ep, ep - e
 
+    else:
 
-def _hmc_transition(x, e, energy, kick, leapfrog_config, rng):
-    """One HMC transition from x, whose potential energy e is known.
+        def propose(x, e):
+            # N(0, std^2 I) ignores x, so the ratio carries the proposal
+            # correction (|x*|^2 - |x|^2) / (2 std^2).  It is taken from
+            # z = x* / std and w = x / std, so no power of std overflows.
+            z = rng.standard_normal(x.size)
+            xp = std * z
+            w = x / std
+            ep = float(energy.value(xp))
+            return xp, ep, e - ep + 0.5 * (float(z @ z) - float(w @ w)), ep - e
 
-    Returns the next state, its energy, whether the proposal was accepted,
-    and the energy error.  A proposal whose H is NaN (a diverged
-    trajectory) is given H = inf, so it is rejected after the uniform draw
-    and the stream of draws is the same as for any other rejection.
-    """
-    q = rng.standard_normal(x.size)
-    h0 = e + 0.5 * float(q @ q)
-    xp, qp = leapfrog(x.copy(), q, kick, leapfrog_config.epsilon, leapfrog_config.steps)
-    ep = float(energy.value(xp))
-    h1 = ep + 0.5 * float(qp @ qp)
-    if math.isnan(h1):
-        h1 = math.inf
-    if mh_accept(h0, h1, rng):
-        return xp, ep, True, h1 - h0
-    return x, e, False, h1 - h0
+    def step(x, e):
+        xp, ep, log_ratio, error = propose(x, e)
+        if ep == -math.inf:
+            raise ValueError("proposal energy is -inf")
+        # log u < 0 <= log_ratio accepts without querying exp.
+        if math.log(rng.random()) < log_ratio:
+            return xp, ep, True, error
+        return x, e, False, error
 
-
-def rwmh_iteration(
-    x: np.ndarray,
-    energy: PotentialEnergy,
-    proposal_std: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, bool]:
-    """One random-walk Metropolis transition with N(x, std^2 I) proposals.
-
-    The proposal is symmetric, so the test reduces to the potential energy
-    difference.
-    """
-    x = np.asarray(x, dtype=float)
-    proposal = x + proposal_std * rng.standard_normal(x.size)
-    dlog = float(energy.value(x)) - float(energy.value(proposal))
-    if math.isnan(dlog):
-        raise ValueError("NaN energy difference in random-walk Metropolis")
-    if math.log(rng.random()) < dlog:
-        return proposal, True
-    return x, False
-
-
-def indep_mh_iteration(
-    x: np.ndarray,
-    energy: PotentialEnergy,
-    proposal_std: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, bool]:
-    """One independence-Metropolis transition with fixed N(0, std^2 I) proposals.
-
-    Because the proposal ignores the current state, the acceptance ratio
-    picks up the proposal-density correction (|x*|^2 - |x|^2) / (2 std^2) on
-    top of the energy difference.  It is taken from the standardized values
-    z = x* / std and w = x / std, so that no power of std under- or
-    overflows.
-    """
-    x = np.asarray(x, dtype=float)
-    z = rng.standard_normal(x.size)
-    proposal = proposal_std * z
-    w = x / proposal_std
-    dlog = float(energy.value(x)) - float(energy.value(proposal))
-    dlog += 0.5 * (float(z @ z) - float(w @ w))
-    if math.isnan(dlog):
-        raise ValueError("NaN acceptance ratio in independence Metropolis")
-    if math.log(rng.random()) < dlog:
-        return proposal, True
-    return x, False
+    return step
 
 
 def run_chain(
@@ -230,11 +183,12 @@ def run_chain(
 
     The generator is seeded from ``config.seed`` alone, so a rerun with the
     same config reproduces the chain bit for bit.  Rejected iterations
-    repeat the previous state.  HMC kinds pick their kick once, carry the
-    potential energy of the current state from one transition to the next,
-    record each transition's energy error, and reject diverged trajectories
-    (non-finite H) instead of failing.  A Metropolis proposal that overflows
-    has infinite energy and is rejected in the same way.
+    repeat the previous state.  Every kind carries the potential energy of
+    the current state from one transition to the next, so a transition
+    makes one ``value`` call, and the initial state must have a finite
+    energy.  A diverged trajectory or an overflowing proposal (infinite or
+    NaN energy) is rejected instead of failing.  HMC kinds record each
+    transition's energy error.
     """
     rng = np.random.default_rng(config.seed)
     x = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
@@ -247,30 +201,22 @@ def run_chain(
         )
     if not np.isfinite(x).all():
         raise ValueError(f"initial state must be finite, got {x}")
+    step = transition(energy, config, rng)
+    e = float(energy.value(x))
+    if not math.isfinite(e):
+        raise ValueError(f"initial state must have finite energy, got {e}")
     n_iter = config.iterations
     samples = np.empty((n_iter, x.size))
     accepted = np.empty(n_iter, dtype=bool)
-    energy_error = None
-    if config.kind in _HMC_SCHEMES:
-        energy_error = np.empty(n_iter)
-        kick = select_kick(energy, _HMC_SCHEMES[config.kind], rng)
-        e = float(energy.value(x))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for r in range(n_iter):
-                x, e, accepted[r], energy_error[r] = _hmc_transition(
-                    x, e, energy, kick, config.leapfrog, rng
-                )
-                samples[r] = x
-    else:
-        mh_step = rwmh_iteration if config.kind == "rwmh" else indep_mh_iteration
-        with np.errstate(over="ignore", invalid="ignore"):
-            for r in range(n_iter):
-                x, accepted[r] = mh_step(x, energy, config.proposal_std, rng)
-                samples[r] = x
+    energy_error = np.empty(n_iter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(n_iter):
+            x, e, accepted[r], energy_error[r] = step(x, e)
+            samples[r] = x
     return ChainRecord(
         samples=samples,
         accepted=accepted,
         acceptance_rate=float(accepted.mean()),
         burn_in=config.burn_in,
-        energy_error=energy_error,
+        energy_error=energy_error if config.kind in _HMC_SCHEMES else None,
     )

@@ -39,8 +39,6 @@ from nshmc.integrators import (
     SUBGRAD,
     LeapfrogConfig,
     integrate_trajectory,
-    leapfrog_prox_step,
-    leapfrog_smooth_step,
 )
 from nshmc.model import (
     GGParams,
@@ -187,13 +185,15 @@ def test_criterion_03_integrator_invariants():
             checked_prox += 1
     assert checked_prox > 20
 
-    smooth_step = lambda s: leapfrog_smooth_step(s, HALF_GAUSS, 0.05)
+    one_step = LeapfrogConfig(epsilon=0.05, steps=1)
+    smooth_step = lambda s: integrate_trajectory(s, HALF_GAUSS, one_step, SMOOTH)
     for _ in range(100):
         x = rng.uniform(-3.0, 3.0, size=1)
         q = rng.uniform(-1.0, 1.0, size=1)
         assert abs(_fd_jacobian_det(smooth_step, x, q) - 1.0) < 1e-5
 
-    prox_step = lambda s: leapfrog_prox_step(s, LAPLACE, 0.01)
+    one_step = LeapfrogConfig(epsilon=0.01, steps=1)
+    prox_step = lambda s: integrate_trajectory(s, LAPLACE, one_step, PROX)
     done = 0
     while done < 100:
         x = rng.uniform(0.05, 3.0, size=1) * rng.choice([-1.0, 1.0])

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, manifests, replay, exit codes."""
 
 import json
+import math
 import os
 import random
 import re
@@ -351,6 +352,13 @@ def test_main_usage_errors_exit_2(tmp_path):
     assert main(["exp1", "-n", "400", "--max-lag", "400", "--out-dir", d]) == 2
     assert main(["exp1", "-n", "100", "--burn-in", "100", "--out-dir", d]) == 2
     assert main(["exp3", "--levels", "9", "--out-dir", d]) == 2
+    # The largest noise variance runs without a warning; the next float up
+    # is a usage error that creates no output directory.
+    for var, code in ((1e150, 0), (math.nextafter(1e150, math.inf), 2)):
+        loud = tmp_path / f"loud-{code}"
+        argv = ["exp3", "-n", "2", "--burn-in", "0", f"--noise-var={var!r}"]
+        assert main([*argv, "--out-dir", str(loud)]) == code
+        assert loud.exists() == (code == 0)
     cells = tmp_path / "cells"
     assert main(["exp2", "-n", "200", "--bins", "100000", "--out-dir", str(cells)]) == 2
     assert not cells.exists()

@@ -2,7 +2,8 @@
 
 The frozen values below were derived by expanding the three sub-steps by
 hand; they pin the exact update order (half kick, drift, half kick) rather
-than any algebraically equivalent rearrangement.
+than any algebraically equivalent rearrangement.  A single step is a
+one-step ``integrate_trajectory``.
 """
 
 import math
@@ -16,9 +17,7 @@ from nshmc.integrators import (
     SUBGRAD,
     LeapfrogConfig,
     integrate_trajectory,
-    leapfrog_prox_step,
-    leapfrog_smooth_step,
-    leapfrog_subgrad_step,
+    leapfrog,
 )
 from nshmc.model import (
     GGParams,
@@ -33,49 +32,53 @@ HALF_GAUSS = gg_energy(GGParams(2.0, 2.0))  # E(x) = x^2 / 2, smooth
 LAPLACE = gg_energy(GGParams(1.0, 1.0))  # E(x) = |x|, kinked at 0
 
 
+def _one_step(state, energy, epsilon, kind, rng=None):
+    return integrate_trajectory(state, energy, LeapfrogConfig(epsilon, 1), kind, rng)
+
+
 # ---------------------------------------------------------------- frozen steps
 
 
 def test_smooth_step_frozen():
-    out = leapfrog_smooth_step(PhaseState([1.0], [0.0]), HALF_GAUSS, 0.1)
+    out = _one_step(PhaseState([1.0], [0.0]), HALF_GAUSS, 0.1, SMOOTH)
     assert out.position[0] == pytest.approx(0.995, abs=1e-15)
     assert out.momentum[0] == pytest.approx(-0.09975, abs=1e-15)
 
 
 def test_smooth_step_origin_fixed_point():
-    out = leapfrog_smooth_step(PhaseState([0.0], [0.0]), HALF_GAUSS, 0.3)
+    out = _one_step(PhaseState([0.0], [0.0]), HALF_GAUSS, 0.3, SMOOTH)
     assert out.position[0] == 0.0 and out.momentum[0] == 0.0
 
 
 def test_subgrad_step_frozen():
     rng = np.random.default_rng(0)  # unused away from the kink
-    out = leapfrog_subgrad_step(PhaseState([2.0], [0.0]), LAPLACE, 0.1, rng)
+    out = _one_step(PhaseState([2.0], [0.0]), LAPLACE, 0.1, SUBGRAD, rng)
     assert out.position[0] == pytest.approx(1.995, abs=1e-15)
     assert out.momentum[0] == pytest.approx(-0.1, abs=1e-15)
-    mirrored = leapfrog_subgrad_step(PhaseState([-2.0], [0.0]), LAPLACE, 0.1, rng)
+    mirrored = _one_step(PhaseState([-2.0], [0.0]), LAPLACE, 0.1, SUBGRAD, rng)
     assert mirrored.position[0] == -out.position[0]
     assert mirrored.momentum[0] == -out.momentum[0]
 
 
 def test_prox_step_frozen():
-    out = leapfrog_prox_step(PhaseState([2.0], [0.0]), LAPLACE, 0.1)
+    out = _one_step(PhaseState([2.0], [0.0]), LAPLACE, 0.1, PROX)
     assert out.position[0] == pytest.approx(1.995, abs=1e-15)
     assert out.momentum[0] == pytest.approx(-0.1, abs=1e-15)
     # Inside the dead zone the residual is x itself.
-    out = leapfrog_prox_step(PhaseState([0.5], [0.0]), LAPLACE, 0.1)
+    out = _one_step(PhaseState([0.5], [0.0]), LAPLACE, 0.1, PROX)
     assert out.position[0] == pytest.approx(0.4975, abs=1e-15)
 
 
 def test_prox_step_kick_far_from_origin():
     # At |x| = 1e300 the residual is still sign(x) / gamma = 1, although
     # x - prox(x) rounds to 0 there.
-    out = leapfrog_prox_step(PhaseState([1e300], [0.0]), LAPLACE, 0.1)
+    out = _one_step(PhaseState([1e300], [0.0]), LAPLACE, 0.1, PROX)
     assert out.momentum[0] == pytest.approx(-0.1, abs=1e-15)
 
 
 def test_prox_step_origin_fixed_point():
     for energy in (LAPLACE, HALF_GAUSS, quad_l1_energy(2.0, 2.0)):
-        out = leapfrog_prox_step(PhaseState([0.0], [0.0]), energy, 0.2)
+        out = _one_step(PhaseState([0.0], [0.0]), energy, 0.2, PROX)
         assert out.position[0] == 0.0 and out.momentum[0] == 0.0
 
 
@@ -83,12 +86,17 @@ def test_prox_step_origin_fixed_point():
 
 
 def test_trajectory_single_step_base_case():
+    # On a PhaseState the trajectory is the array integrator, and it leaves
+    # its input unchanged.
     state = PhaseState([1.2, -0.7], [0.3, 0.8])
     config = LeapfrogConfig(epsilon=0.05, steps=1)
     via_traj = integrate_trajectory(state, HALF_GAUSS, config, SMOOTH)
-    direct = leapfrog_smooth_step(state, HALF_GAUSS, 0.05)
-    assert np.array_equal(via_traj.position, direct.position)
-    assert np.array_equal(via_traj.momentum, direct.momentum)
+    x, q = state.position.copy(), state.momentum.copy()
+    direct = leapfrog(x, q, HALF_GAUSS.grad, 0.05, 1)
+    assert np.array_equal(via_traj.position, direct[0])
+    assert np.array_equal(via_traj.momentum, direct[1])
+    assert np.array_equal(state.position, [1.2, -0.7])
+    assert np.array_equal(state.momentum, [0.3, 0.8])
 
 
 def test_trajectory_composes_unfused_steps():
@@ -99,7 +107,7 @@ def test_trajectory_composes_unfused_steps():
     via_traj = integrate_trajectory(state, LAPLACE, config, PROX)
     manual = state
     for _ in range(4):
-        manual = leapfrog_prox_step(manual, LAPLACE, 0.1)
+        manual = _one_step(manual, LAPLACE, 0.1, PROX)
     assert np.array_equal(via_traj.position, manual.position)
     assert np.array_equal(via_traj.momentum, manual.momentum)
 
@@ -122,8 +130,8 @@ def test_subgrad_equals_smooth_for_differentiable_energy():
         x = rng.uniform(-3.0, 3.0, size=3)
         q = rng.uniform(-2.0, 2.0, size=3)
         state = PhaseState(x, q)
-        a = leapfrog_smooth_step(state, HALF_GAUSS, 0.05)
-        b = leapfrog_subgrad_step(state, HALF_GAUSS, 0.05, rng)
+        a = _one_step(state, HALF_GAUSS, 0.05, SMOOTH)
+        b = _one_step(state, HALF_GAUSS, 0.05, SUBGRAD, rng)
         assert np.array_equal(a.position, b.position)
         assert np.array_equal(a.momentum, b.momentum)
 
@@ -139,8 +147,8 @@ def test_schemes_agree_near_kink():
     for _ in range(200):
         x = float(rng.uniform(-band, band)) * 0.999
         q = float(rng.uniform(-2.0, 2.0))
-        s1 = leapfrog_subgrad_step(PhaseState([x], [q]), energy, eps, rng)
-        s2 = leapfrog_prox_step(PhaseState([x], [q]), energy, eps)
+        s1 = _one_step(PhaseState([x], [q]), energy, eps, SUBGRAD, rng)
+        s2 = _one_step(PhaseState([x], [q]), energy, eps, PROX)
         assert abs(s1.position[0] - s2.position[0]) < eps * eps * a
 
 
@@ -211,7 +219,7 @@ def _fd_jacobian_det(step, x, q, h=1e-5):
 
 def test_volume_preservation_smooth():
     rng = np.random.default_rng(29)
-    step = lambda s: leapfrog_smooth_step(s, HALF_GAUSS, 0.05)
+    step = lambda s: _one_step(s, HALF_GAUSS, 0.05, SMOOTH)
     for _ in range(100):
         x = rng.uniform(-3.0, 3.0, size=1)
         q = rng.uniform(-1.0, 1.0, size=1)
@@ -222,7 +230,7 @@ def test_volume_preservation_prox():
     # Points and their finite-difference neighborhoods stay inside one
     # smooth piece of the |x| prox force (pieces split at 0 and +-1).
     rng = np.random.default_rng(31)
-    step = lambda s: leapfrog_prox_step(s, LAPLACE, 0.01)
+    step = lambda s: _one_step(s, LAPLACE, 0.01, PROX)
     done = 0
     while done < 100:
         x = rng.uniform(0.05, 3.0, size=1) * rng.choice([-1.0, 1.0])
@@ -263,12 +271,12 @@ def test_config_validation():
 def test_capability_errors():
     state = PhaseState([1.0], [0.0])
     with pytest.raises(ValueError, match="needs an energy with a grad handle"):
-        leapfrog_smooth_step(state, LAPLACE, 0.1)  # no gradient at a kink
+        _one_step(state, LAPLACE, 0.1, SMOOTH)  # no gradient at a kink
     bare = PotentialEnergy(value=lambda x: 0.0)
     with pytest.raises(ValueError, match="needs an energy with a prox handle"):
-        leapfrog_prox_step(state, bare, 0.1)
+        _one_step(state, bare, 0.1, PROX)
     with pytest.raises(ValueError, match="needs an energy with a subgrad handle"):
-        leapfrog_subgrad_step(state, bare, 0.1, np.random.default_rng(0))
+        _one_step(state, bare, 0.1, SUBGRAD, np.random.default_rng(0))
 
 
 def test_trajectory_argument_validation():

@@ -5,6 +5,7 @@ calibrated across seeds with generous margins; they are regression bounds
 on this implementation, not universal constants.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,11 +29,8 @@ from nshmc.samplers import (
     SAMPLER_KINDS,
     ChainRecord,
     SamplerConfig,
-    indep_mh_iteration,
-    mh_accept,
-    nshmc_iteration,
     run_chain,
-    rwmh_iteration,
+    transition,
 )
 
 LAPLACE = gg_energy(GGParams(1.0, 1.0))
@@ -56,31 +54,42 @@ class _ForcedRng:
 # -------------------------------------------------------------- acceptance rule
 
 
+def _fixed_ratio_step(h_proposal, rng):
+    """A random-walk step whose every proposal has energy ``h_proposal``, so
+    that from a current energy h its log acceptance ratio is h - h_proposal."""
+    fixed = PotentialEnergy(value=lambda x: h_proposal)
+    return transition(fixed, SamplerConfig("rwmh", 1), rng)
+
+
 def test_mh_accept_deterministic_branches():
     rng = np.random.default_rng(0)
-    assert all(mh_accept(5.0, 3.0, rng) for _ in range(100))
-    assert all(mh_accept(3.0, 3.0, rng) for _ in range(100))
-    assert not any(mh_accept(1.0, math.inf, rng) for _ in range(100))
+    for h_current, h_proposal, expected in ((5.0, 3.0, True), (3.0, 3.0, True),
+                                            (1.0, math.inf, False)):
+        step = _fixed_ratio_step(h_proposal, rng)
+        assert all(step(np.zeros(1), h_current)[2] is expected for _ in range(100))
 
 
 def test_mh_accept_frequency_half():
     rng = np.random.default_rng(1)
+    step = _fixed_ratio_step(math.log(2.0), rng)
     n = 10**5
-    hits = sum(mh_accept(0.0, math.log(2.0), rng) for _ in range(n))
+    hits = sum(step(np.zeros(1), 0.0)[2] for _ in range(n))
     se = math.sqrt(0.25 / n)
     assert abs(hits / n - 0.5) < 3.0 * se
 
 
 def test_mh_accept_domain_errors():
+    # A chain cannot start from a NaN or infinite energy, and a proposal
+    # energy of -inf is a domain error.  A NaN log ratio is a rejection.
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        mh_accept(math.nan, 0.0, rng)
-    with pytest.raises(ValueError):
-        mh_accept(0.0, math.nan, rng)
-    with pytest.raises(ValueError):
-        mh_accept(math.inf, 0.0, rng)
-    with pytest.raises(ValueError):
-        mh_accept(0.0, -math.inf, rng)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite energy"):
+            run_chain(np.zeros(1), PotentialEnergy(value=lambda x: bad),
+                      SamplerConfig("rwmh", 3))
+    assert not _fixed_ratio_step(math.nan, rng)(np.zeros(1), 0.0)[2]
+    assert not _fixed_ratio_step(0.0, rng)(np.zeros(1), math.nan)[2]
+    with pytest.raises(ValueError, match="-inf"):
+        _fixed_ratio_step(-math.inf, rng)(np.zeros(1), 0.0)
 
 
 # ------------------------------------------------------------------ rw Metropolis
@@ -90,21 +99,20 @@ def test_rwmh_forced_proposal_acceptance_boundary():
     # From x = 0 with forced proposal x* = 1 on E = |x|, the acceptance
     # probability is exactly e^{-1}: u just below accepts, just above rejects.
     u_star = math.exp(-1.0)
-    out, ok = rwmh_iteration(
-        np.zeros(1), LAPLACE, 1.0, _ForcedRng([1.0], [u_star * (1.0 - 1e-12)])
-    )
+    cfg = SamplerConfig("rwmh", 1, proposal_std=1.0)
+    rng = _ForcedRng([1.0], [u_star * (1.0 - 1e-12)])
+    out, _, ok, _ = transition(LAPLACE, cfg, rng)(np.zeros(1), 0.0)
     assert ok and out[0] == 1.0
-    out, ok = rwmh_iteration(
-        np.zeros(1), LAPLACE, 1.0, _ForcedRng([1.0], [u_star * (1.0 + 1e-12)])
-    )
+    rng = _ForcedRng([1.0], [u_star * (1.0 + 1e-12)])
+    out, _, ok, _ = transition(LAPLACE, cfg, rng)(np.zeros(1), 0.0)
     assert not ok and out[0] == 0.0
 
 
 def test_rwmh_flat_target_always_accepts():
     flat = PotentialEnergy(value=lambda x: 0.0)
-    rng = np.random.default_rng(3)
+    step = transition(flat, SamplerConfig("rwmh", 1), np.random.default_rng(3))
     for _ in range(200):
-        _, ok = rwmh_iteration(np.zeros(2), flat, 1.0, rng)
+        _, _, ok, _ = step(np.zeros(2), 0.0)
         assert ok
 
 
@@ -133,10 +141,14 @@ def test_rwmh_detailed_balance_on_grid():
     rng = np.random.default_rng(123)
     m = 20000
 
+    step = transition(LAPLACE, SamplerConfig("rwmh", 1, proposal_std=1.0), rng)
+
     def flux(i, j):
         hits = 0
+        start = np.array([grid[i]])
+        e = float(LAPLACE.value(start))
         for _ in range(m):
-            out, _ = rwmh_iteration(np.array([grid[i]]), LAPLACE, 1.0, rng)
+            out, _, _, _ = step(start, e)
             if abs(out[0] - grid[j]) <= h / 2.0:
                 hits += 1
         p = hits / m
@@ -158,17 +170,20 @@ def test_indmh_proposal_equals_target_always_accepts():
     # Target N(0,1) has energy x^2/2; with unit proposal the acceptance
     # ratio is identically 1.
     std_normal = gg_energy(GGParams(2.0, 2.0))
-    rng = np.random.default_rng(5)
+    cfg = SamplerConfig("indmh", 1, proposal_std=1.0)
+    step = transition(std_normal, cfg, np.random.default_rng(5))
     x = np.zeros(1)
+    e = float(std_normal.value(x))
     for _ in range(1000):
-        x, ok = indep_mh_iteration(x, std_normal, 1.0, rng)
+        x, e, ok, _ = step(x, e)
         assert ok
 
 
 def test_indmh_self_proposal_accepts():
-    _, ok = indep_mh_iteration(
-        np.array([0.7]), LAPLACE, 1.0, _ForcedRng([0.7], [0.999999])
-    )
+    cfg = SamplerConfig("indmh", 1, proposal_std=1.0)
+    step = transition(LAPLACE, cfg, _ForcedRng([0.7], [0.999999]))
+    x = np.array([0.7])
+    _, _, ok, _ = step(x, float(LAPLACE.value(x)))
     assert ok
 
 
@@ -211,12 +226,6 @@ def test_nshmc_zero_potential_pure_drift():
         rec = run_chain(np.zeros(1), free, cfg)
         assert rec.accepted.all()
         assert np.unique(rec.samples).size > 40
-
-
-def test_nshmc_rejects_non_hmc_config():
-    cfg = SamplerConfig(kind="rwmh", iterations=10)
-    with pytest.raises(ValueError):
-        nshmc_iteration(np.zeros(1), LAPLACE, cfg, np.random.default_rng(0))
 
 
 def test_nshmc_acceptance_rate_regression():
@@ -336,70 +345,117 @@ def test_hmc_chain_records_energy_error_and_divergences():
 
 
 def _reference_chain(initial, energy, config):
-    """An HMC chain composed step by step from the public pieces: one
-    PhaseState per transition, ``integrate_trajectory``, two
-    ``hamiltonian_eval`` calls and ``mh_accept``."""
+    """A chain composed step by step from the public pieces, with its own
+    Metropolis test.  An HMC transition builds one PhaseState and calls
+    ``integrate_trajectory`` and ``hamiltonian_eval`` twice; a Metropolis
+    transition evaluates E at both ends of its proposal."""
     rng = np.random.default_rng(config.seed)
-    scheme = SUBGRAD if config.kind == "nshmc1" else PROX
     x = np.array(initial, dtype=float)
+    std = config.proposal_std
     samples, accepted, errors = [], [], []
     for _ in range(config.iterations):
-        start = PhaseState(x, rng.standard_normal(x.size))
-        proposal = integrate_trajectory(start, energy, config.leapfrog, scheme, rng)
-        h0 = hamiltonian_eval(start, energy)
-        h1 = hamiltonian_eval(proposal, energy)
-        ok = mh_accept(h0, h1, rng)
+        if config.kind == "rwmh":
+            proposal = x + std * rng.standard_normal(x.size)
+            log_ratio = float(energy.value(x)) - float(energy.value(proposal))
+        elif config.kind == "indmh":
+            z = rng.standard_normal(x.size)
+            proposal = std * z
+            w = x / std
+            log_ratio = float(energy.value(x)) - float(energy.value(proposal))
+            log_ratio += 0.5 * (float(z @ z) - float(w @ w))
+        else:
+            scheme = SUBGRAD if config.kind == "nshmc1" else PROX
+            start = PhaseState(x, rng.standard_normal(x.size))
+            end = integrate_trajectory(start, energy, config.leapfrog, scheme, rng)
+            h0 = hamiltonian_eval(start, energy)
+            h1 = hamiltonian_eval(end, energy)
+            proposal, log_ratio = end.position, h0 - h1
+            errors.append(h1 - h0)
+        ok = math.log(rng.random()) < log_ratio
         if ok:
-            x = proposal.position
+            x = proposal
         samples.append(x)
         accepted.append(ok)
-        errors.append(h1 - h0)
-    return np.array(samples), np.array(accepted), np.array(errors)
+    return np.array(samples), np.array(accepted), np.array(errors) if errors else None
+
+
+def _kind_options(kind, epsilon=0.2):
+    """The leapfrog for an HMC kind, a unit proposal for a Metropolis kind."""
+    if kind in ("rwmh", "indmh"):
+        return {"proposal_std": 1.0}
+    return {"leapfrog": LeapfrogConfig(epsilon, 10)}
 
 
 @pytest.mark.parametrize(
     "kind, energy, dim",
     [("nshmc2", gg_energy(GGParams(1.3, p)), d) for p in (1.0, 1.2, 1.5)
      for d in (1, 4)]
-    + [("nshmc1", quad_l1_energy(2.0, 0.5), d) for d in (1, 4)],
+    + [("nshmc1", quad_l1_energy(2.0, 0.5), d) for d in (1, 4)]
+    + [(k, gg_energy(GGParams(1.3, 1.5)), d) for k in ("rwmh", "indmh")
+       for d in (1, 4)],
 )
 def test_run_chain_matches_reference_chain(kind, energy, dim):
     # Same arithmetic and same draws: equal bit for bit, including the
     # subgradient draws at the origin where every nshmc1 chain starts.
-    cfg = SamplerConfig(
-        kind=kind, iterations=200, seed=9, leapfrog=LeapfrogConfig(0.2, 10)
-    )
+    cfg = SamplerConfig(kind=kind, iterations=200, seed=9, **_kind_options(kind))
     rec = run_chain(np.zeros(dim), energy, cfg)
     samples, accepted, errors = _reference_chain(np.zeros(dim), energy, cfg)
     assert 0 < accepted.sum() < 200
     assert np.array_equal(rec.samples, samples)
     assert np.array_equal(rec.accepted, accepted)
-    assert np.array_equal(rec.energy_error, errors)
+    if errors is None:
+        assert rec.energy_error is None
+    else:
+        assert np.array_equal(rec.energy_error, errors)
 
 
-@pytest.mark.parametrize("kind, kick", [("nshmc2", "prox"), ("nshmc1", "subgrad")])
+@pytest.mark.parametrize(
+    "kind, kick",
+    [("nshmc2", "prox"), ("nshmc1", "subgrad"), ("rwmh", None), ("indmh", None)],
+)
 def test_hmc_chain_kick_and_energy_counts(kind, kick):
-    # L + 1 kicks per L-step trajectory, and one energy evaluation per
-    # transition plus one for the initial state.
+    # L + 1 kicks per L-step trajectory, and for every kind one energy
+    # evaluation per transition plus one for the initial state.
     base = gg_energy(GGParams(1.0, 1.5))
-    calls = {"value": 0, kick: 0}
+    calls = {"value": 0}
 
     def counted(name, fn):
+        calls[name] = 0
+
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
 
         return wrapper
 
-    energy = PotentialEnergy(
-        value=counted("value", base.value), **{kick: counted(kick, getattr(base, kick))}
-    )
+    handles = {kick: counted(kick, getattr(base, kick))} if kick else {}
+    energy = PotentialEnergy(value=counted("value", base.value), **handles)
     n = 30
-    cfg = SamplerConfig(
-        kind=kind, iterations=n, seed=2, leapfrog=LeapfrogConfig(0.1, 10)
-    )
+    cfg = SamplerConfig(kind=kind, iterations=n, seed=2, **_kind_options(kind, 0.1))
     run_chain(np.zeros(3), energy, cfg)
-    assert calls == {"value": n + 1, kick: 11 * n}
+    assert calls == ({"value": n + 1, kick: 11 * n} if kick else {"value": n + 1})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_nan_energy_is_a_rejection(kind):
+    # E = |x|_1 inside the square [-1, 1]^2 and NaN outside it.  A proposal
+    # that leaves the square is rejected after its uniform is drawn, so the
+    # chain equals the one on an energy that is +inf outside the square.
+    def energy(outside):
+        value = lambda x: float(np.abs(x).sum()) if np.abs(x).max() <= 1.0 else outside
+        return dataclasses.replace(LAPLACE, value=value)
+
+    cfg = SamplerConfig(kind=kind, iterations=300, seed=3, **_kind_options(kind, 0.1))
+    rec = run_chain(np.zeros(2), energy(math.nan), cfg)
+    ref = run_chain(np.zeros(2), energy(math.inf), cfg)
+    assert np.abs(rec.samples).max() <= 1.0
+    assert rec.accepted.any() and not rec.accepted.all()
+    assert np.array_equal(rec.samples, ref.samples)
+    assert np.array_equal(rec.accepted, ref.accepted)
+    if rec.energy_error is not None:
+        assert np.array_equal(rec.energy_error, ref.energy_error)
+        assert (rec.energy_error[~rec.accepted] == math.inf).any()
 
 
 @pytest.mark.filterwarnings("error")
@@ -413,10 +469,10 @@ def test_diverging_trajectory_is_a_rejection():
     rec = run_chain(np.zeros(2), gg_energy(GGParams(1.0, 1.5)), cfg)
     assert rec.divergent.all() and not rec.accepted.any()
     assert np.array_equal(rec.samples, np.zeros((20, 2)))
+    cubic = gg_energy(GGParams(1.0, 3.0))
+    step = transition(cubic, cfg, np.random.default_rng(0))
     with np.errstate(over="ignore", invalid="ignore"):
-        x, ok, error = nshmc_iteration(
-            np.ones(2), gg_energy(GGParams(1.0, 3.0)), cfg, np.random.default_rng(0)
-        )
+        x, _, ok, error = step(np.ones(2), float(cubic.value(np.ones(2))))
     assert not ok and np.array_equal(x, np.ones(2)) and error == math.inf
 
 
