@@ -140,6 +140,32 @@ def _checkpoints(iterations: int, points: int = 200) -> np.ndarray:
     return ticks
 
 
+def _configs(kinds, iterations, seed, eps, steps, burn_in=0) -> dict:
+    """One ``SamplerConfig`` per kind, the i-th seeded with seed + 1 + i.
+
+    HMC kinds run ``steps`` leapfrog steps of size ``eps``; the Metropolis
+    kinds keep their unit proposal.
+    """
+    leapfrog = LeapfrogConfig(epsilon=eps, steps=steps)
+    return {
+        kind: SamplerConfig(
+            kind=kind,
+            iterations=iterations,
+            burn_in=burn_in,
+            seed=seed + 1 + i,
+            leapfrog=leapfrog if kind.startswith("nshmc") else None,
+        )
+        for i, kind in enumerate(kinds)
+    }
+
+
+def _write_curves(path: Path, ticks, curves: dict) -> None:
+    """``mse_curve.csv``: one row per checkpoint, one column per curve."""
+    columns = np.transpose(list(curves.values()))
+    rows = [[int(t), *row] for t, row in zip(ticks, columns)]
+    _write_csv(path, ["iteration", *curves], rows)
+
+
 def cmd_exp1(
     p: float,
     lam: float,
@@ -161,21 +187,8 @@ def cmd_exp1(
         burn_in = iterations // 4
     with _usage():
         params = GGParams(gamma=lam, p=p)
-        configs = {
-            "nshmc2": SamplerConfig(
-                kind="nshmc2",
-                iterations=iterations,
-                burn_in=burn_in,
-                seed=seed + 1,
-                leapfrog=LeapfrogConfig(epsilon=eps, steps=steps),
-            ),
-            "rwmh": SamplerConfig(
-                kind="rwmh", iterations=iterations, burn_in=burn_in, seed=seed + 2
-            ),
-            "indmh": SamplerConfig(
-                kind="indmh", iterations=iterations, burn_in=burn_in, seed=seed + 3
-            ),
-        }
+        kinds = ("nshmc2", "rwmh", "indmh")
+        configs = _configs(kinds, iterations, seed, eps, steps, burn_in)
     if max_lag < 1 or max_lag >= iterations - burn_in:
         raise UsageError(
             f"max-lag {max_lag} does not fit the {iterations - burn_in} retained samples"
@@ -194,9 +207,8 @@ def cmd_exp1(
 
     names = list(configs)
     ticks = _checkpoints(iterations)
-    curves = [_mse_curve(records[name].samples, ticks, target, spec) for name in names]
-    mse_rows = [[int(t), *row] for t, row in zip(ticks, np.transpose(curves))]
-    _write_csv(out / "mse_curve.csv", ["iteration"] + names, mse_rows)
+    curves = {n: _mse_curve(records[n].samples, ticks, target, spec) for n in names}
+    _write_curves(out / "mse_curve.csv", ticks, curves)
 
     acfs = {name: _chain_acf(records[name].kept[:, 0], max_lag) for name in names}
     acf_rows = [
@@ -205,7 +217,7 @@ def cmd_exp1(
     _write_csv(out / "acf.csv", ["lag"] + names, acf_rows)
 
     _write_manifest(out, ["mse_curve.csv", "acf.csv"], t0)
-    final = {name: mse_rows[-1][1 + i] for i, name in enumerate(names)}
+    final = {name: curves[name][-1] for name in names}
     accept = {name: records[name].acceptance_rate for name in names}
     for name in names:
         print(
@@ -265,15 +277,7 @@ def cmd_exp2(
     with _usage():
         params = GGParams(gamma=lam, p=p)
         spec = HistogramSpec(bins=bins)
-        configs = {
-            "nshmc2": SamplerConfig(
-                kind="nshmc2",
-                iterations=iterations,
-                seed=seed + 1,
-                leapfrog=LeapfrogConfig(epsilon=eps, steps=steps),
-            ),
-            "rwmh": SamplerConfig(kind="rwmh", iterations=iterations, seed=seed + 2),
-        }
+        configs = _configs(("nshmc2", "rwmh"), iterations, seed, eps, steps)
     if bins**dim > _MAX_CELLS:
         raise UsageError(f"bins**dim = {bins}**{dim} exceeds the {_MAX_CELLS}-cell limit")
     out = _prepare_out_dir(out_dir)
@@ -303,13 +307,7 @@ def cmd_exp2(
         for name, samples in (*chains.items(), ("direct_floor", direct))
     }
 
-    mse_rows = [
-        [int(t), curves["nshmc2"][i], curves["rwmh"][i], curves["direct_floor"][i]]
-        for i, t in enumerate(ticks)
-    ]
-    _write_csv(
-        out / "mse_curve.csv", ["iteration", "nshmc2", "rwmh", "direct_floor"], mse_rows
-    )
+    _write_curves(out / "mse_curve.csv", ticks, curves)
 
     conv_rows = []
     thresholds = {}
@@ -630,7 +628,7 @@ def main(argv=None) -> int:
     except (PgmParseError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     return 0

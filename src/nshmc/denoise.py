@@ -113,15 +113,13 @@ def denoise_energy(
         diff = x - c
         return float(np.sum(np.abs(x))) / lam + 0.5 * alpha * float(diff @ diff)
 
-    def prox(x):
-        return prox_denoise_energy(x, c, alpha, lam)
-
     def subgrad(x, rng):
         return np.asarray(subgrad_abs_sample(x, rng)) / lam + alpha * (x - c)
 
-    return PotentialEnergy(
-        value=value, subgrad=subgrad, prox=prox, dimension=n
-    )
+    def residual(x):
+        return x - prox_denoise_energy(x, c, alpha, lam)
+
+    return PotentialEnergy(value=value, subgrad=subgrad, dimension=n, residual=residual)
 
 
 def _coordinate_hmc_sweep(

@@ -76,7 +76,7 @@ def select_kick(energy: PotentialEnergy, kind: str, rng=None):
     name, handle = {
         SMOOTH: ("grad", energy.grad),
         SUBGRAD: ("subgrad", energy.subgrad),
-        PROX: ("prox", energy.residual),
+        PROX: ("residual", energy.residual),
     }[kind]
     if handle is None:
         raise ValueError(f"{kind} leapfrog needs an energy with a {name} handle")

@@ -11,8 +11,8 @@ independent coordinates.
 
 A ``PotentialEnergy`` bundles the evaluator with whatever first-order
 handles the energy supports: an exact gradient, a subgradient sampler, and
-a proximity operator.  Integrators check for the handle they need and fail
-loudly when it is missing.
+the proximal residual x - prox(x).  Integrators check for the handle they
+need and fail loudly when it is missing.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from .convex import (
     _check_power_params,
     _check_quad_l1_params,
     power_residual,
-    prox_power,
-    prox_quad_l1,
-    prox_soft_threshold,
     subgrad_abs_sample,
 )
+# bench/tracing.py hooks this name; no energy calls it, so its span counts nothing.
+from .convex import prox_power  # noqa: F401
 
 __all__ = [
     "GGParams",
@@ -102,23 +101,17 @@ class PotentialEnergy:
     value        maps an N-vector to a float.
     grad         exact gradient, present only where the energy is smooth.
     subgrad      (x, rng) -> a sampled element of the subdifferential.
-    prox         proximity operator of the full energy.
     dimension    fixed N, or None for separable energies usable at any N.
-    residual     x - prox(x), the kick of the proximal leapfrog; when not
-                 given and prox is, it is that subtraction.
+    residual     x - prox(x) for the proximity operator of the full energy:
+                 the kick of the proximal leapfrog, the gradient of the
+                 energy's Moreau envelope at parameter 1.
     """
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray] | None = None
     subgrad: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None
-    prox: Callable[[np.ndarray], np.ndarray] | None = None
     dimension: int | None = None
     residual: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.residual is None and self.prox is not None:
-            prox = self.prox
-            object.__setattr__(self, "residual", lambda x: x - prox(x))
 
 
 def gg_density(x, params: GGParams):
@@ -154,64 +147,48 @@ def gg_cdf(x, params: GGParams):
 def gg_energy(params: GGParams, dimension: int | None = None) -> PotentialEnergy:
     """Potential energy E(x) = sum_i |x_i|**p / gamma of an i.i.d. GG vector.
 
-    The proximity operator is applied coordinatewise by one array call:
-    soft thresholding for p = 1, and ``prox_power`` otherwise, which has
+    The prox kick ``residual`` is ``power_residual``: x - prox(x) for the
+    coordinatewise proximity operator, computed by one array call without
+    the subtraction.  It clips x to [-1/gamma, 1/gamma] for p = 1, has
     closed forms for p = 3/2 and 2 (Chaux, Combettes, Pesquet & Wajs 2007)
-    and a per-coordinate Newton solve for other exponents.  The prox kick
-    ``residual`` comes from ``power_residual``, without the subtraction
-    x - prox(x).  For p = 1 the subgradient sampler draws uniformly from
-    [-1/gamma, 1/gamma] at zero coordinates; for p > 1 the subdifferential
-    is the gradient singleton.
+    and takes a per-coordinate Newton root for other exponents.  For p = 1
+    the subgradient sampler draws uniformly from [-1/gamma, 1/gamma] at
+    zero coordinates; for p > 1 the subdifferential is the gradient
+    singleton.
     An exact ``grad`` handle is only attached for even integer p, where the
     energy is smooth in the classical sense used by the plain integrator.
     """
     gamma, p = params.gamma, params.p
 
-    def residual(x):
-        return power_residual(x, gamma, p)
-
-    if p == 1.0:
-
-        def value(x):
-            return float(np.sum(np.abs(x))) / gamma
-
-        def prox(x):
-            return prox_soft_threshold(np.asarray(x, dtype=float), 1.0 / gamma)
-
-        def subgrad(x, rng):
-            return np.asarray(subgrad_abs_sample(x, rng)) / gamma
-
-        return PotentialEnergy(
-            value=value,
-            subgrad=subgrad,
-            prox=prox,
-            dimension=dimension,
-            residual=residual,
-        )
-
-    def value(x):
-        return float(np.sum(np.abs(x) ** p)) / gamma
-
     def gradient(x):
         x = np.asarray(x, dtype=float)
         return (p / gamma) * np.sign(x) * np.abs(x) ** (p - 1.0)
 
-    def prox(x):
-        return prox_power(x, gamma, p)
+    if p == 1.0:
+        # |x| alone, not |x| ** 1: the power costs about a tenth of an
+        # rwmh transition on a 1-D chain.
+        def value(x):
+            return float(np.sum(np.abs(x))) / gamma
 
-    # For p > 1 the subdifferential is a singleton everywhere, so the
-    # sampler is deterministic and the rng goes unused.
-    def subgrad(x, rng):
-        return gradient(x)
+        def subgrad(x, rng):
+            return np.asarray(subgrad_abs_sample(x, rng)) / gamma
 
-    grad = gradient if (p == int(p) and int(p) % 2 == 0) else None
+    else:
+
+        def value(x):
+            return float(np.sum(np.abs(x) ** p)) / gamma
+
+        # For p > 1 the subdifferential is a singleton everywhere, so the
+        # sampler is deterministic and the rng goes unused.
+        def subgrad(x, rng):
+            return gradient(x)
+
     return PotentialEnergy(
         value=value,
-        grad=grad,
+        grad=gradient if (p == int(p) and int(p) % 2 == 0) else None,
         subgrad=subgrad,
-        prox=prox,
         dimension=dimension,
-        residual=residual,
+        residual=lambda x: power_residual(x, gamma, p),
     )
 
 
@@ -235,9 +212,6 @@ def quad_l1_energy(a: float, b: float, dimension: int | None = None) -> Potentia
         x = np.asarray(x, dtype=float)
         return a * np.asarray(subgrad_abs_sample(x, rng)) + 2.0 * b * x
 
-    def prox(x):
-        return prox_quad_l1(np.asarray(x, dtype=float), a, b)
-
     t = 1.0 + 2.0 * b
 
     def residual(x):
@@ -247,7 +221,7 @@ def quad_l1_energy(a: float, b: float, dimension: int | None = None) -> Potentia
         return np.where(ax <= a, x, np.copysign(a / t + ax * (2.0 * b / t), x))
 
     return PotentialEnergy(
-        value=value, subgrad=subgrad, prox=prox, dimension=dimension, residual=residual
+        value=value, subgrad=subgrad, dimension=dimension, residual=residual
     )
 
 

@@ -431,6 +431,24 @@ def test_main_numeric_failure_exit_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "-n", str(10**15)],
+        ["exp1", "-n", str(10**15)],
+        ["exp2", "-n", str(10**15)],
+        ["exp3", "-n", str(10**12), "--burn-in", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_run_too_large_for_memory_exits_4(tmp_path, capsys, argv):
+    # Each run asks for petabytes at once, beyond the 128 TiB that a process
+    # maps by default, so numpy raises MemoryError under any overcommit mode.
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_exp3_rejects_non_power_of_two_image(tmp_path):
     img = np.zeros((6, 6))
     src = tmp_path / "odd.pgm"

@@ -70,13 +70,25 @@ def test_energy_prox_satisfies_descent_inequality():
         sigma2 = float(rng.uniform(0.5, 20.0))
         lam = float(rng.uniform(0.5, 20.0))
         alpha = 1.0 / sigma2
-        p = denoise_energy(c, sigma2, lam).prox(x)
+        p = prox_denoise_energy(x, c, alpha, lam)
 
         def coord(v):
             return np.abs(v) / lam + 0.5 * alpha * (v - c) ** 2
 
         lhs = coord(p) + 0.5 * (p - x) ** 2
         assert np.all(lhs <= coord(x) + 1e-9)
+
+
+def test_denoise_residual_is_the_subtraction():
+    # The prox kick is x - prox(x), bit for bit.
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        c = rng.standard_normal(40) * 10.0
+        x = rng.standard_normal(40) * 10.0
+        sigma2 = float(rng.uniform(0.5, 20.0))
+        lam = float(rng.uniform(0.5, 20.0))
+        got = denoise_energy(c, sigma2, lam).residual(x)
+        assert np.array_equal(got, x - prox_denoise_energy(x, c, 1.0 / sigma2, lam))
 
 
 def test_energy_parameter_validation():

@@ -1,14 +1,16 @@
 """Import hygiene: importing the package and its CLI loads no scipy module,
-and every export resolves."""
+every export resolves, and so does every name the benchmark's tracer hooks."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 MODULES = sorted(p.stem for p in (SRC / "nshmc").glob("*.py") if not p.stem.startswith("_"))
 
 
@@ -43,3 +45,17 @@ def test_package_imports_only_exported_names():
         exported = importlib.import_module(f"nshmc.{node.module}").__all__
         stale = [a.name for a in node.names if a.name not in exported]
         assert not stale, (node.module, stale)
+
+
+def test_tracer_spans_resolve():
+    # bench/tracing.py patches package attributes by name and skips a name
+    # that is gone, so a rename would silently drop the span from the report.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = {}
+    for module, attr, span in tracing.HOOKS:
+        found = tracing._resolve(f"{module}.{attr}") is not None
+        targets[span] = targets.get(span, False) or found
+    assert targets and all(targets.values()), targets
+    assert tracing._resolve(".".join(tracing.ENERGY_FACTORY)) is not None

@@ -273,7 +273,7 @@ def test_capability_errors():
     with pytest.raises(ValueError, match="needs an energy with a grad handle"):
         _one_step(state, LAPLACE, 0.1, SMOOTH)  # no gradient at a kink
     bare = PotentialEnergy(value=lambda x: 0.0)
-    with pytest.raises(ValueError, match="needs an energy with a prox handle"):
+    with pytest.raises(ValueError, match="needs an energy with a residual handle"):
         _one_step(state, bare, 0.1, PROX)
     with pytest.raises(ValueError, match="needs an energy with a subgrad handle"):
         _one_step(state, bare, 0.1, SUBGRAD, np.random.default_rng(0))

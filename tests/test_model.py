@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest, norm
 
+from nshmc.convex import prox_quad_l1
 from nshmc.model import (
     GGParams,
     IGParams,
@@ -172,7 +173,8 @@ def test_gg_energy_values():
 def test_gg_energy_handles():
     laplace = gg_energy(GGParams(2.0, 1.0))
     assert laplace.grad is None  # kinked at zero
-    assert np.array_equal(laplace.prox(np.array([3.0, -0.2])), [2.5, 0.0])
+    x = np.array([3.0, -0.2])
+    assert np.array_equal(x - laplace.residual(x), [2.5, 0.0])
     sub = laplace.subgrad(np.array([4.0, -1.0]), np.random.default_rng(0))
     assert np.array_equal(sub, [0.5, -0.5])
 
@@ -182,11 +184,13 @@ def test_gg_energy_handles():
     assert np.array_equal(gauss.grad(x), [3.0, -4.0])
     # p > 1: subdifferential is the gradient singleton.
     assert np.array_equal(gauss.subgrad(x, np.random.default_rng(0)), gauss.grad(x))
-    assert np.allclose(gauss.prox(np.array([4.0])), [4.0 / 3.0])
+    x = np.array([4.0])
+    assert np.allclose(x - gauss.residual(x), [4.0 / 3.0])
 
     frac = gg_energy(GGParams(1.0, 1.5))
     assert frac.grad is None  # |x|^1.5 has no second-derivative-free gradient at 0
-    assert frac.prox(np.array([1.0]))[0] == pytest.approx(0.25, abs=1e-10)
+    x = np.array([1.0])
+    assert (x - frac.residual(x))[0] == pytest.approx(0.25, abs=1e-10)
 
 
 def test_gg_energy_subgrad_scaling():
@@ -201,7 +205,8 @@ def test_gg_energy_subgrad_scaling():
 def test_quad_l1_energy():
     e = quad_l1_energy(2.0, 3.0)
     assert e.value(np.array([2.0])) == 16.0
-    assert np.allclose(e.prox(np.array([12.0])), [10.0 / 7.0])
+    x = np.array([12.0])
+    assert np.allclose(x - e.residual(x), [10.0 / 7.0])
     # At zero the subdifferential is a * [-1, 1].
     draws = [
         e.subgrad(np.array([0.0]), np.random.default_rng(s))[0] for s in range(200)
@@ -217,7 +222,7 @@ def test_quad_l1_residual_at_huge_x_is_a():
     for a in (0.5, 1.0, 3.0):
         e = quad_l1_energy(a, 0.0)
         x = np.array([1e300, -1e300, 1e17, -1e17])
-        assert np.array_equal(x - e.prox(x), [0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(x - prox_quad_l1(x, a, 0.0), [0.0, 0.0, 0.0, 0.0])
         assert np.array_equal(e.residual(x), [a, -a, a, -a])
 
 
@@ -229,7 +234,7 @@ def test_quad_l1_residual_matches_subtraction():
         for b in (0.0, 0.5, 2.0):
             e = quad_l1_energy(a, b)
             got = e.residual(x)
-            want = x - e.prox(x)
+            want = x - prox_quad_l1(x, a, b)
             assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(x))), (a, b)
             assert np.array_equal(e.residual(-x), -got)
 
@@ -299,4 +304,4 @@ def test_params_validation():
 
 def test_custom_energy_missing_handles():
     bare = PotentialEnergy(value=lambda x: 0.0)
-    assert bare.grad is None and bare.subgrad is None and bare.prox is None
+    assert bare.grad is None and bare.subgrad is None and bare.residual is None

@@ -219,7 +219,7 @@ def test_nshmc_zero_potential_pure_drift():
         value=lambda x: 0.0,
         grad=lambda x: np.zeros_like(x),
         subgrad=lambda x, rng: np.zeros_like(x),
-        prox=lambda x: np.asarray(x, dtype=float),
+        residual=np.zeros_like,
     )
     for kind in ("nshmc1", "nshmc2"):
         cfg = SamplerConfig(kind=kind, iterations=50, seed=11)
@@ -411,7 +411,7 @@ def test_run_chain_matches_reference_chain(kind, energy, dim):
 
 @pytest.mark.parametrize(
     "kind, kick",
-    [("nshmc2", "prox"), ("nshmc1", "subgrad"), ("rwmh", None), ("indmh", None)],
+    [("nshmc2", "residual"), ("nshmc1", "subgrad"), ("rwmh", None), ("indmh", None)],
 )
 def test_hmc_chain_kick_and_energy_counts(kind, kick):
     # L + 1 kicks per L-step trajectory, and for every kind one energy
