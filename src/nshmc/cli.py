@@ -7,6 +7,10 @@ Four commands cover the library surface: ``exp1`` (1-D sampler comparison),
 ``replay`` reruns a manifest; outputs are bitwise reproducible from the
 recorded seed.
 
+``_write_outputs`` is the one place output is written: a command computes
+every result, then hands it an image or named columns per file, and it
+writes the manifest last.
+
 ``_build_parser`` is the only statement of each command's parameters: their
 names, types, defaults and the seed rule.  ``main`` parses the command line
 with it.  ``replay`` turns a manifest's params into ``--name=value``
@@ -36,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .denoise import DenoiseModel, gibbs_denoise_run, synthetic_blocks
-from .diagnostics import HistogramSpec, acf, prefix_heights, snr, ssim
+from .diagnostics import _SSIM_SIZE, HistogramSpec, acf, prefix_heights, snr, ssim
 # bench/tracing.py hooks this name; no command calls it, so its span counts nothing.
 from .diagnostics import histogram_mse  # noqa: F401
 from .integrators import LeapfrogConfig
@@ -68,32 +72,36 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+# Cell format by dtype kind: flags as 1/0, integers in full, floats at 17
+# significant digits so they round-trip.
+_CELL_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, columns: dict) -> None:
+    """A CSV with one column per entry: name -> 1-D array or sequence."""
+    values = [np.asarray(column) for column in columns.values()]
+    row = ",".join(_CELL_FORMATS[v.dtype.kind] for v in values) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(row % cells for cells in zip(*(v.tolist() for v in values)))
 
 
-def _write_manifest(out_dir: Path, outputs: list[str], t0: float) -> None:
-    """Write ``manifest.json`` for the ``cmd_*`` function that calls this.
+def _write_outputs(out: Path, t0: float, files: dict) -> None:
+    """Write each file in order, then ``manifest.json`` for the calling command.
 
-    Its params are the caller's arguments, read from the caller's frame, so
-    a default resolved in the body (``exp1``'s ``burn_in``) is recorded
-    resolved.  The frame, not the module global, names them because a
-    profiler may replace ``cmd_*`` with a ``(*args, **kwargs)`` wrapper.
-    A path is recorded as a string.
+    A name ending in ``.pgm`` maps to an image for ``pgm_write``; any other
+    name maps to the columns of a CSV.  The manifest's params are the
+    caller's arguments, read from the caller's frame, so a default resolved
+    in the body (``exp1``'s ``burn_in``) is recorded resolved.  The frame,
+    not the module global, names them because a profiler may replace
+    ``cmd_*`` with a ``(*args, **kwargs)`` wrapper.  A path is recorded as
+    a string.
     """
+    for name, data in files.items():
+        if name.endswith(".pgm"):
+            pgm_write(data, out / name)
+        else:
+            _write_csv(out / name, data)
     caller = sys._getframe(1)
     code, scope = caller.f_code, caller.f_locals
     params = {
@@ -105,10 +113,10 @@ def _write_manifest(out_dir: Path, outputs: list[str], t0: float) -> None:
         "command": code.co_name.removeprefix("cmd_"),
         "params": params,
         "seed": params["seed"],
-        "outputs": outputs,
+        "outputs": list(files),
         "duration_seconds": time.perf_counter() - t0,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
+    with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
@@ -159,13 +167,6 @@ def _configs(kinds, iterations, seed, eps, steps, burn_in=0) -> dict:
     }
 
 
-def _write_curves(path: Path, ticks, curves: dict) -> None:
-    """``mse_curve.csv``: one row per checkpoint, one column per curve."""
-    columns = np.transpose(list(curves.values()))
-    rows = [[int(t), *row] for t, row in zip(ticks, columns)]
-    _write_csv(path, ["iteration", *curves], rows)
-
-
 def cmd_exp1(
     p: float,
     lam: float,
@@ -208,15 +209,11 @@ def cmd_exp1(
     names = list(configs)
     ticks = _checkpoints(iterations)
     curves = {n: _mse_curve(records[n].samples, ticks, target, spec) for n in names}
-    _write_curves(out / "mse_curve.csv", ticks, curves)
-
     acfs = {name: _chain_acf(records[name].kept[:, 0], max_lag) for name in names}
-    acf_rows = [
-        [lag] + [acfs[name][lag] for name in names] for lag in range(max_lag + 1)
-    ]
-    _write_csv(out / "acf.csv", ["lag"] + names, acf_rows)
-
-    _write_manifest(out, ["mse_curve.csv", "acf.csv"], t0)
+    _write_outputs(out, t0, {
+        "mse_curve.csv": {"iteration": ticks, **curves},
+        "acf.csv": {"lag": np.arange(max_lag + 1), **acfs},
+    })
     final = {name: curves[name][-1] for name in names}
     accept = {name: records[name].acceptance_rate for name in names}
     for name in names:
@@ -306,22 +303,19 @@ def cmd_exp2(
         name: _mse_curve(samples, ticks, reference, spec)
         for name, samples in (*chains.items(), ("direct_floor", direct))
     }
-
-    _write_curves(out / "mse_curve.csv", ticks, curves)
-
-    conv_rows = []
-    thresholds = {}
-    for name in ("nshmc2", "rwmh"):
-        t_star, reached = _time_to_threshold(ticks, curves[name], threshold)
-        thresholds[name] = (t_star, reached)
-        conv_rows.append([name, t_star, reached, threshold])
-    _write_csv(
-        out / "convergence.csv",
-        ["sampler", "iterations_to_threshold", "reached", "threshold_mse"],
-        conv_rows,
-    )
-
-    _write_manifest(out, ["mse_curve.csv", "convergence.csv"], t0)
+    thresholds = {
+        name: _time_to_threshold(ticks, curves[name], threshold) for name in chains
+    }
+    t_stars, flags = zip(*thresholds.values())
+    _write_outputs(out, t0, {
+        "mse_curve.csv": {"iteration": ticks, **curves},
+        "convergence.csv": {
+            "sampler": list(thresholds),
+            "iterations_to_threshold": t_stars,
+            "reached": flags,
+            "threshold_mse": [threshold] * len(thresholds),
+        },
+    })
     for name, (t_star, reached) in thresholds.items():
         state = "reached" if reached else "not reached within budget"
         print(f"exp2 dim={dim} {name}: threshold {state} at iteration {t_star}")
@@ -356,6 +350,13 @@ def cmd_exp3(
             raise UsageError(
                 f"image dimensions must be powers of two, got {width}x{height}"
             )
+    if min(height, width) < _SSIM_SIZE:
+        raise UsageError(
+            f"SSIM needs an image of at least {_SSIM_SIZE}x{_SSIM_SIZE}, "
+            f"got {width}x{height}"
+        )
+    if not clean.any():
+        raise UsageError("SNR is undefined for an all-zero image")
     with _usage():
         wavelet = WaveletOperator(width=width, height=height, levels=levels)
         config = SamplerConfig(
@@ -373,27 +374,22 @@ def cmd_exp3(
     model = DenoiseModel(observed=noisy, wavelet=wavelet)
     estimate, record, hyper = gibbs_denoise_run(model, config)
 
-    pgm_write(noisy, out / "noisy.pgm")
-    pgm_write(estimate, out / "denoised.pgm")
     metrics = {
         "noisy": (snr(clean, noisy), ssim(clean, noisy)),
         "denoised": (snr(clean, estimate), ssim(clean, estimate)),
     }
-    _write_csv(
-        out / "metrics.csv",
-        ["image", "snr_db", "ssim"],
-        [[name, v[0], v[1]] for name, v in metrics.items()],
-    )
-    _write_csv(
-        out / "chain.csv",
-        ["iteration", "sigma2", "lambda", "accepted"],
-        [
-            [r, hyper["sigma2"][r], hyper["lambda"][r], float(record.accepted[r])]
-            for r in range(iterations)
-        ],
-    )
-
-    _write_manifest(out, ["noisy.pgm", "denoised.pgm", "metrics.csv", "chain.csv"], t0)
+    snrs, ssims = zip(*metrics.values())
+    _write_outputs(out, t0, {
+        "noisy.pgm": noisy,
+        "denoised.pgm": estimate,
+        "metrics.csv": {"image": list(metrics), "snr_db": snrs, "ssim": ssims},
+        "chain.csv": {
+            "iteration": np.arange(iterations),
+            "sigma2": hyper["sigma2"],
+            "lambda": hyper["lambda"],
+            "accepted": record.accepted,
+        },
+    })
     for name, (snr_db, ssim_val) in metrics.items():
         print(f"exp3 {name}: SNR {snr_db:.2f} dB, SSIM {ssim_val:.4f}")
     return {"out_dir": out, "metrics": metrics, "estimate": estimate, "record": record}
@@ -486,15 +482,13 @@ def cmd_sample(
         )
 
     kept = record.kept
-    header = ["iteration"] + [f"x{i}" for i in range(dim)] + ["accepted"]
-    rows = [
-        [burn_in + i] + list(kept[i]) + [bool(record.accepted[burn_in + i])]
-        for i in range(len(kept))
-    ]
-    _write_csv(out / "chain.csv", header, rows)
-
     lag1 = _chain_acf(kept[:, 0], 1)[1]
-    _write_manifest(out, ["chain.csv"], t0)
+    chain = {
+        "iteration": np.arange(burn_in, iterations),
+        **{f"x{i}": kept[:, i] for i in range(dim)},
+        "accepted": record.accepted[burn_in:],
+    }
+    _write_outputs(out, t0, {"chain.csv": chain})
     divergent = 0 if record.divergent is None else int(record.divergent.sum())
     print(
         f"sample: acceptance rate {record.acceptance_rate:.3f}, "

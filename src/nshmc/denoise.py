@@ -232,12 +232,7 @@ def gibbs_denoise_run(
         sigma2_chain[r] = sigma2
         lambda_chain[r] = lam
 
-    record = ChainRecord(
-        samples=samples,
-        accepted=accepted,
-        acceptance_rate=float(accepted.mean()),
-        burn_in=config.burn_in,
-    )
+    record = ChainRecord(samples=samples, accepted=accepted, burn_in=config.burn_in)
     estimate = op.inverse(record.kept.mean(axis=0))
     return estimate, record, {"sigma2": sigma2_chain, "lambda": lambda_chain}
 

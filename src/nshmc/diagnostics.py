@@ -141,7 +141,10 @@ def snr(reference: np.ndarray, estimate: np.ndarray) -> float:
     return 10.0 * math.log10(signal / noise)
 
 
-def _ssim_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+_SSIM_SIZE = 11  # side of the SSIM window, and so the smallest image ssim scores
+
+
+def _ssim_window(size: int = _SSIM_SIZE, sigma: float = 1.5) -> np.ndarray:
     """Normalized 1-D Gaussian; the SSIM window is its outer product."""
     half = (size - 1) / 2.0
     g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma * sigma))
@@ -174,8 +177,10 @@ def ssim(reference: np.ndarray, estimate: np.ndarray) -> float:
     y = np.asarray(estimate, dtype=float)
     if x.ndim != 2 or x.shape != y.shape:
         raise ValueError(f"need equal-shape 2-D images, got {x.shape} and {y.shape}")
-    if min(x.shape) < 11:
-        raise ValueError(f"images must be at least 11x11, got {x.shape}")
+    if min(x.shape) < _SSIM_SIZE:
+        raise ValueError(
+            f"images must be at least {_SSIM_SIZE}x{_SSIM_SIZE}, got {x.shape}"
+        )
     c1 = (0.01 * 255.0) ** 2
     c2 = (0.03 * 255.0) ** 2
     g = _ssim_window()

@@ -93,16 +93,20 @@ class ChainRecord:
     """Everything a finished chain produced.
 
     ``samples`` has one row per iteration (including burn-in);
-    ``accepted`` flags which iterations moved; ``kept`` strips burn-in.
+    ``accepted`` flags which iterations moved, and ``acceptance_rate`` is its
+    mean; ``kept`` strips burn-in.
     HMC chains also record each transition's ``energy_error``,
     H(proposal) - H(current); it is None for the Metropolis kinds.
     """
 
     samples: np.ndarray
     accepted: np.ndarray
-    acceptance_rate: float
     burn_in: int = 0
     energy_error: np.ndarray | None = None
+
+    @property
+    def acceptance_rate(self) -> float:
+        return float(self.accepted.mean())
 
     @property
     def kept(self) -> np.ndarray:
@@ -216,7 +220,6 @@ def run_chain(
     return ChainRecord(
         samples=samples,
         accepted=accepted,
-        acceptance_rate=float(accepted.mean()),
         burn_in=config.burn_in,
         energy_error=energy_error if config.kind in _HMC_SCHEMES else None,
     )

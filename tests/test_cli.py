@@ -27,6 +27,40 @@ def _read_csv(path):
     return header, rows
 
 
+def _assert_only_listed_outputs(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    files = sorted(path.name for path in out.iterdir())
+    assert files == sorted([*manifest["outputs"], "manifest.json"])
+
+
+# The per-cell rule that _write_csv's per-column formats replaced.
+def _per_cell_format(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    columns = {
+        "x": np.array(floats),
+        "n": np.array([2**62, -(2**62), -1, 0, 1, 7, 10**18], dtype=np.int64),
+        "flag": np.array([True, False, False, True, True, False, True]),
+        "name": ["nshmc2", "rwmh", "indmh", "a b", "", "-", "x0"],
+    }
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, columns)
+    want = "x,n,flag,name\n" + "".join(
+        ",".join(_per_cell_format(v) for v in row) + "\n"
+        for row in zip(*columns.values())
+    )
+    assert path.read_bytes() == want.encode()
+
+
 def test_exp1_outputs(tmp_path):
     res = cmd_exp1(p=1.0, lam=1.0, iterations=400, seed=0, out_dir=tmp_path)
     header, rows = _read_csv(tmp_path / "mse_curve.csv")
@@ -45,6 +79,7 @@ def test_exp1_outputs(tmp_path):
     assert manifest["params"]["iterations"] == 400
     assert manifest["params"]["burn_in"] == 100
     assert manifest["outputs"] == ["mse_curve.csv", "acf.csv"]
+    _assert_only_listed_outputs(tmp_path)
     assert set(res["final_mse"]) == {"nshmc2", "rwmh", "indmh"}
 
 
@@ -71,6 +106,7 @@ def test_exp2_outputs(tmp_path):
         assert r[2] in ("0", "1")
         assert float(r[3]) > 0.0
     assert set(res["thresholds"]) == {"nshmc2", "rwmh"}
+    _assert_only_listed_outputs(tmp_path)
 
 
 # The per-prefix curves that exp1 and exp2 computed before the running
@@ -161,6 +197,7 @@ def test_exp3_outputs(tmp_path):
     assert all(0.0 <= f <= 1.0 for f in fracs)
     assert any(0.0 < f < 1.0 for f in fracs)
     assert res["metrics"]["denoised"][0] > res["metrics"]["noisy"][0]
+    _assert_only_listed_outputs(tmp_path)
 
 
 def test_exp3_reads_pgm_input(tmp_path):
@@ -197,6 +234,7 @@ def test_sample_outputs(tmp_path):
     assert int(rows[0][0]) == 100 and int(rows[-1][0]) == 399
     assert set(r[2] for r in rows) <= {"0", "1"}
     assert 0.0 < res["record"].acceptance_rate < 1.0
+    _assert_only_listed_outputs(tmp_path)
 
 
 def test_sample_multivariate_quadl1(tmp_path):
@@ -365,6 +403,17 @@ def test_main_usage_errors_exit_2(tmp_path):
     assert main(["sample", "--sampler", "hmcx", "--out-dir", d]) == 2
     assert main(["sample", "--target", "gg:p=abc", "--out-dir", d]) == 2
     assert main(["sample", "--sampler", "rwmh:std=-1", "--out-dir", d]) == 2
+    # An image that SSIM cannot window, or whose SNR is undefined, is
+    # rejected before the sampler runs.
+    rng = np.random.default_rng(0)
+    for name, img in (("small", rng.integers(1, 200, size=(8, 8))),
+                      ("zero", np.zeros((16, 16)))):
+        src = tmp_path / f"{name}.pgm"
+        pgm_write(img.astype(float), src)
+        out = tmp_path / name
+        assert main(["exp3", "--input-pgm", str(src), "-n", "5", "--burn-in", "0",
+                     "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 # Each command with small run lengths, and every option it takes except

@@ -1,5 +1,6 @@
 """Import hygiene: importing the package and its CLI loads no scipy module,
-every export resolves, and so does every name the benchmark's tracer hooks."""
+every export resolves, and so does every name the benchmark's tracer hooks
+and every name the demos import."""
 
 import ast
 import importlib
@@ -59,3 +60,18 @@ def test_tracer_spans_resolve():
         targets[span] = targets.get(span, False) or found
     assert targets and all(targets.values()), targets
     assert tracing._resolve(".".join(tracing.ENERGY_FACTORY)) is not None
+
+
+def test_demo_imports_resolve():
+    # The demos are not run by the tests, so check their package imports
+    # statically: a deleted public name would otherwise break one unseen.
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert demos
+    for demo in demos:
+        for node in ast.walk(ast.parse(demo.read_text())):
+            if not isinstance(node, ast.ImportFrom) or node.level:
+                continue
+            if node.module.split(".")[0] == "nshmc":
+                module = importlib.import_module(node.module)
+                missing = [a.name for a in node.names if not hasattr(module, a.name)]
+                assert not missing, (demo.name, node.module, missing)

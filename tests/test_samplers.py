@@ -505,9 +505,9 @@ def test_chain_record_kept_strips_burn_in():
     rec = ChainRecord(
         samples=np.arange(10.0).reshape(5, 2),
         accepted=np.ones(5, dtype=bool),
-        acceptance_rate=1.0,
         burn_in=2,
     )
+    assert rec.acceptance_rate == 1.0
     assert rec.kept.shape == (3, 2)
     assert rec.kept[0, 0] == 4.0
 
