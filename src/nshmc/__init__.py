@@ -26,7 +26,6 @@ from .denoise import DenoiseModel, denoise_energy, gibbs_denoise_run, synthetic_
 from .diagnostics import HistogramSpec, acf, histogram_mse, prefix_heights, snr, ssim
 from .integrators import (
     PROX,
-    SMOOTH,
     SUBGRAD,
     LeapfrogConfig,
     integrate_trajectory,

@@ -8,8 +8,9 @@ Four commands cover the library surface: ``exp1`` (1-D sampler comparison),
 recorded seed.
 
 ``_write_outputs`` is the one place output is written: a command computes
-every result, then hands it an image or named columns per file, and it
-writes the manifest last.
+every result, then hands it an image or named columns per file.  It
+creates the output directory, writes the files and writes the manifest
+last, so a run that fails before it leaves no directory behind.
 
 ``_build_parser`` is the only statement of each command's parameters: their
 names, types, defaults and the seed rule.  ``main`` parses the command line
@@ -20,9 +21,8 @@ A manifest records the command's arguments once its defaults are resolved.
 
 The valid range of a value is stated once, by the constructor that uses it
 (``GGParams``, ``SamplerConfig``, ``LeapfrogConfig``, ``HistogramSpec``,
-``WaveletOperator``).  Each command builds those objects inside ``_usage``
-before it creates its output directory, so an out-of-range value is a
-usage error and a usage error writes nothing.
+``WaveletOperator``).  Each command builds those objects inside ``_usage``,
+so an out-of-range value is a usage error.
 
 Exit codes: 0 success, 2 usage error, 3 file/parse error, 4 numeric failure.
 """
@@ -87,7 +87,8 @@ def _write_csv(path: Path, columns: dict) -> None:
 
 
 def _write_outputs(out: Path, t0: float, files: dict) -> None:
-    """Write each file in order, then ``manifest.json`` for the calling command.
+    """Create ``out``, write each file in order, then ``manifest.json`` for
+    the calling command.
 
     A name ending in ``.pgm`` maps to an image for ``pgm_write``; any other
     name maps to the columns of a CSV.  The manifest's params are the
@@ -97,6 +98,7 @@ def _write_outputs(out: Path, t0: float, files: dict) -> None:
     ``cmd_*`` with a ``(*args, **kwargs)`` wrapper.  A path is recorded as
     a string.
     """
+    out.mkdir(parents=True, exist_ok=True)
     for name, data in files.items():
         if name.endswith(".pgm"):
             pgm_write(data, out / name)
@@ -119,12 +121,6 @@ def _write_outputs(out: Path, t0: float, files: dict) -> None:
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
-
-
-def _prepare_out_dir(out_dir) -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _chain_acf(chain: np.ndarray, max_lag: int) -> np.ndarray:
@@ -194,7 +190,7 @@ def cmd_exp1(
         raise UsageError(
             f"max-lag {max_lag} does not fit the {iterations - burn_in} retained samples"
         )
-    out = _prepare_out_dir(out_dir)
+    out = Path(out_dir)
     t0 = time.perf_counter()
     energy = gg_energy(params)
     spec = HistogramSpec()
@@ -226,7 +222,9 @@ def cmd_exp1(
 
 _EXP2_BINS = {2: 20, 3: 12, 4: 8}
 _MAX_CELLS = 2**20  # bins**dim above this is a usage error, not a MemoryError
-_MAX_NOISE_VAR = 1e150  # exp3's SSIM overflows from about 1e155 (noise scale ** 4)
+# exp3's SSIM overflows from about 1e155 (noise scale ** 4); below the
+# reciprocal, 1 / sigma2 overflows in the first sweep's prox.
+_MAX_NOISE_VAR = 1e150
 
 
 def _time_to_threshold(
@@ -277,7 +275,7 @@ def cmd_exp2(
         configs = _configs(("nshmc2", "rwmh"), iterations, seed, eps, steps)
     if bins**dim > _MAX_CELLS:
         raise UsageError(f"bins**dim = {bins}**{dim} exceeds the {_MAX_CELLS}-cell limit")
-    out = _prepare_out_dir(out_dir)
+    out = Path(out_dir)
     t0 = time.perf_counter()
     energy = gg_energy(params, dimension=dim)
 
@@ -338,9 +336,10 @@ def cmd_exp3(
     Adds white Gaussian noise of the requested variance, runs the Gibbs
     sampler, and writes noisy.pgm, denoised.pgm, metrics.csv and chain.csv.
     """
-    if not 0 <= noise_var <= _MAX_NOISE_VAR:
+    if not (noise_var == 0 or 1 / _MAX_NOISE_VAR <= noise_var <= _MAX_NOISE_VAR):
         raise UsageError(
-            f"noise variance must lie in [0, {_MAX_NOISE_VAR:g}], got {noise_var}"
+            f"noise variance must be 0 or lie in [{1 / _MAX_NOISE_VAR:g}, "
+            f"{_MAX_NOISE_VAR:g}], got {noise_var}"
         )
     t0 = time.perf_counter()
     clean = synthetic_blocks() if input_pgm is None else pgm_read(input_pgm)
@@ -366,7 +365,7 @@ def cmd_exp3(
             seed=seed,
             leapfrog=LeapfrogConfig(epsilon=eps, steps=steps),
         )
-    out = _prepare_out_dir(out_dir)
+    out = Path(out_dir)
 
     noise_rng = np.random.default_rng(seed + 1)
     noisy = clean + math.sqrt(noise_var) * noise_rng.standard_normal(clean.shape)
@@ -472,7 +471,7 @@ def cmd_sample(
     config = _build_spec(
         sampler, "sampler", _SAMPLERS, iterations=iterations, burn_in=burn_in, seed=seed
     )
-    out = _prepare_out_dir(out_dir)
+    out = Path(out_dir)
     t0 = time.perf_counter()
     record = run_chain(np.zeros(dim), energy, config)
     if record.divergent is not None and record.divergent.all():

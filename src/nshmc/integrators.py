@@ -1,4 +1,4 @@
-"""Leapfrog discretizations of Hamiltonian dynamics, smooth and non-smooth.
+"""Leapfrog discretizations of Hamiltonian dynamics on non-smooth energies.
 
 One step of size eps from (x, q) is
 
@@ -8,9 +8,11 @@ One step of size eps from (x, q) is
 
 where the force, or kick, depends on the scheme:
 
-    smooth    exact gradient of E (requires a smooth energy),
     subgrad   an element drawn from the subdifferential of E,
     prox      the proximal residual x - prox_E(x).
+
+On a differentiable energy the subdifferential is the gradient, so the
+subgrad scheme is the classical leapfrog.
 
 ``select_kick`` checks the energy's handles once per trajectory, and
 ``leapfrog``, the one integrator that the samplers and the denoiser run,
@@ -32,7 +34,6 @@ import numpy as np
 from .model import PhaseState, PotentialEnergy
 
 __all__ = [
-    "SMOOTH",
     "SUBGRAD",
     "PROX",
     "LeapfrogConfig",
@@ -41,10 +42,9 @@ __all__ = [
     "integrate_trajectory",
 ]
 
-SMOOTH = "smooth"
 SUBGRAD = "subgrad"
 PROX = "prox"
-_KINDS = (SMOOTH, SUBGRAD, PROX)
+_KINDS = (SUBGRAD, PROX)
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ def select_kick(energy: PotentialEnergy, kind: str, rng=None):
     if kind not in _KINDS:
         raise ValueError(f"unknown integrator kind {kind!r}; expected {_KINDS}")
     name, handle = {
-        SMOOTH: ("grad", energy.grad),
         SUBGRAD: ("subgrad", energy.subgrad),
         PROX: ("residual", energy.residual),
     }[kind]

@@ -10,9 +10,9 @@ differentiability at the origin when p = 1.  Laplace (p = 1) and Gaussian
 independent coordinates.
 
 A ``PotentialEnergy`` bundles the evaluator with whatever first-order
-handles the energy supports: an exact gradient, a subgradient sampler, and
-the proximal residual x - prox(x).  Integrators check for the handle they
-need and fail loudly when it is missing.
+handles the energy supports, one per leapfrog scheme: a subgradient
+sampler and the proximal residual x - prox(x).  Integrators check for the
+handle they need and fail loudly when it is missing.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ class PotentialEnergy:
     """A convex potential with optional first-order handles.
 
     value        maps an N-vector to a float.
-    grad         exact gradient, present only where the energy is smooth.
     subgrad      (x, rng) -> a sampled element of the subdifferential.
     dimension    fixed N, or None for separable energies usable at any N.
     residual     x - prox(x) for the proximity operator of the full energy:
@@ -108,18 +107,21 @@ class PotentialEnergy:
     """
 
     value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
     subgrad: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None
     dimension: int | None = None
     residual: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def gg_density(x, params: GGParams):
-    """Generalized Gaussian density, vectorized over x."""
+    """Generalized Gaussian density, vectorized over x.
+
+    Where |x|**p / gamma overflows the density is 0, its limit.
+    """
     gamma, p = params.gamma, params.p
     lognorm = math.log(p) - math.log(2.0) - math.log(gamma) / p - math.lgamma(1.0 / p)
     arr = np.asarray(x, dtype=float)
-    out = np.exp(lognorm - np.abs(arr) ** p / gamma)
+    with np.errstate(over="ignore"):
+        out = np.exp(lognorm - np.abs(arr) ** p / gamma)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -127,7 +129,8 @@ def gg_density(x, params: GGParams):
 
 def gg_cdf(x, params: GGParams):
     """Generalized Gaussian distribution function, via the regularized
-    lower incomplete gamma function.
+    lower incomplete gamma function.  Where |x|**p / gamma overflows the
+    tail is 1, its limit.
 
     ``scipy.special.gammainc`` is imported here, on the first call, so that
     importing the package does not load scipy; only the tests and the
@@ -137,7 +140,8 @@ def gg_cdf(x, params: GGParams):
 
     gamma, p = params.gamma, params.p
     arr = np.asarray(x, dtype=float)
-    tail = gammainc(1.0 / p, np.abs(arr) ** p / gamma)
+    with np.errstate(over="ignore"):
+        tail = gammainc(1.0 / p, np.abs(arr) ** p / gamma)
     out = 0.5 + 0.5 * np.sign(arr) * tail
     if np.ndim(x) == 0:
         return float(out)
@@ -155,14 +159,8 @@ def gg_energy(params: GGParams, dimension: int | None = None) -> PotentialEnergy
     the subgradient sampler draws uniformly from [-1/gamma, 1/gamma] at
     zero coordinates; for p > 1 the subdifferential is the gradient
     singleton.
-    An exact ``grad`` handle is only attached for even integer p, where the
-    energy is smooth in the classical sense used by the plain integrator.
     """
     gamma, p = params.gamma, params.p
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        return (p / gamma) * np.sign(x) * np.abs(x) ** (p - 1.0)
 
     if p == 1.0:
         # |x| alone, not |x| ** 1: the power costs about a tenth of an
@@ -181,11 +179,11 @@ def gg_energy(params: GGParams, dimension: int | None = None) -> PotentialEnergy
         # For p > 1 the subdifferential is a singleton everywhere, so the
         # sampler is deterministic and the rng goes unused.
         def subgrad(x, rng):
-            return gradient(x)
+            x = np.asarray(x, dtype=float)
+            return (p / gamma) * np.sign(x) * np.abs(x) ** (p - 1.0)
 
     return PotentialEnergy(
         value=value,
-        grad=gradient if (p == int(p) and int(p) % 2 == 0) else None,
         subgrad=subgrad,
         dimension=dimension,
         residual=lambda x: power_residual(x, gamma, p),
@@ -230,12 +228,14 @@ def gg_direct_sample(params: GGParams, rng: np.random.Generator, size=None):
 
     If G is Gamma(1/p, 1) then (gamma * G)**(1/p) has the law of |X|, so a
     draw is a symmetric random sign times that power transform.  Used as
-    ground truth when judging the Markov chain samplers.
+    ground truth when judging the Markov chain samplers.  A draw whose
+    power transform overflows is +-inf.
     """
     gamma, p = params.gamma, params.p
     g = rng.gamma(1.0 / p, 1.0, size=size)
     sign = np.where(rng.random(size=size) < 0.5, -1.0, 1.0)
-    out = sign * (gamma * g) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        out = sign * (gamma * g) ** (1.0 / p)
     if size is None:
         return float(out)
     return out

@@ -390,10 +390,12 @@ def test_main_usage_errors_exit_2(tmp_path):
     assert main(["exp1", "-n", "400", "--max-lag", "400", "--out-dir", d]) == 2
     assert main(["exp1", "-n", "100", "--burn-in", "100", "--out-dir", d]) == 2
     assert main(["exp3", "--levels", "9", "--out-dir", d]) == 2
-    # The largest noise variance runs without a warning; the next float up
-    # is a usage error that creates no output directory.
-    for var, code in ((1e150, 0), (math.nextafter(1e150, math.inf), 2)):
-        loud = tmp_path / f"loud-{code}"
+    # The largest and the smallest positive noise variance run without a
+    # warning; the next float out is a usage error that creates no output
+    # directory.
+    for var, code in ((1e150, 0), (math.nextafter(1e150, math.inf), 2),
+                      (1e-150, 0), (math.nextafter(1e-150, 0.0), 2)):
+        loud = tmp_path / f"loud-{var!r}"
         argv = ["exp3", "-n", "2", "--burn-in", "0", f"--noise-var={var!r}"]
         assert main([*argv, "--out-dir", str(loud)]) == code
         assert loud.exists() == (code == 0)
@@ -428,7 +430,7 @@ _SWEEP_COMMANDS = {
     "sample": (["-n", "20"],
                ["seed", "target", "sampler", "iterations", "burn-in", "dim"]),
 }
-_SWEEP_VALUES = ["0", "-1", "nan", "inf", "-inf", "2.5", "x"]
+_SWEEP_VALUES = ["0", "-1", "nan", "inf", "-inf", "2.5", "x", "1e308", "5e-324"]
 
 
 def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys):
@@ -458,7 +460,8 @@ def test_exp1_unmoved_chain_has_nan_acf(tmp_path):
 
 
 def test_main_file_errors_exit_3(tmp_path):
-    d = str(tmp_path)
+    out = tmp_path / "out"
+    d = str(out)
     missing = str(tmp_path / "nope.pgm")
     assert main(["exp3", "--input-pgm", missing, "-n", "10", "--burn-in", "0",
                  "--out-dir", d]) == 3
@@ -466,18 +469,26 @@ def test_main_file_errors_exit_3(tmp_path):
     garbage.write_bytes(b"P6 2 2 255 \x00\x00\x00\x00")
     assert main(["exp3", "--input-pgm", str(garbage), "-n", "10", "--burn-in", "0",
                  "--out-dir", d]) == 3
+    assert not out.exists()
+    # An --out-dir under a regular file is found once the run is done, and
+    # nothing is written.
+    under_file = garbage / "out"
+    assert main(["sample", "-n", "20", "--out-dir", str(under_file)]) == 3
+    assert garbage.read_bytes() == b"P6 2 2 255 \x00\x00\x00\x00"
 
 
 def test_main_numeric_failure_exit_4(tmp_path):
     # A step size of 1e300 throws every trajectory out to |x| ~ 1e300, so
     # every energy error is astronomically large: each trajectory diverged.
+    out = tmp_path / "out"
     code = main([
         "sample",
         "--sampler", "nshmc2:eps=1e300,lf=10",
         "-n", "50",
-        "--out-dir", str(tmp_path),
+        "--out-dir", str(out),
     ])
     assert code == 4
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -493,9 +504,11 @@ def test_main_numeric_failure_exit_4(tmp_path):
 def test_run_too_large_for_memory_exits_4(tmp_path, capsys, argv):
     # Each run asks for petabytes at once, beyond the 128 TiB that a process
     # maps by default, so numpy raises MemoryError under any overcommit mode.
-    assert main([*argv, "--out-dir", str(tmp_path)]) == 4
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_exp3_rejects_non_power_of_two_image(tmp_path):

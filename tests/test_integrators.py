@@ -13,7 +13,6 @@ import pytest
 
 from nshmc.integrators import (
     PROX,
-    SMOOTH,
     SUBGRAD,
     LeapfrogConfig,
     integrate_trajectory,
@@ -30,6 +29,9 @@ from nshmc.model import (
 
 HALF_GAUSS = gg_energy(GGParams(2.0, 2.0))  # E(x) = x^2 / 2, smooth
 LAPLACE = gg_energy(GGParams(1.0, 1.0))  # E(x) = |x|, kinked at 0
+# On a smooth energy the subgradient scheme is the classical leapfrog and
+# draws nothing from its rng.
+NO_DRAWS = np.random.default_rng(0)
 
 
 def _one_step(state, energy, epsilon, kind, rng=None):
@@ -40,13 +42,13 @@ def _one_step(state, energy, epsilon, kind, rng=None):
 
 
 def test_smooth_step_frozen():
-    out = _one_step(PhaseState([1.0], [0.0]), HALF_GAUSS, 0.1, SMOOTH)
+    out = _one_step(PhaseState([1.0], [0.0]), HALF_GAUSS, 0.1, SUBGRAD, NO_DRAWS)
     assert out.position[0] == pytest.approx(0.995, abs=1e-15)
     assert out.momentum[0] == pytest.approx(-0.09975, abs=1e-15)
 
 
 def test_smooth_step_origin_fixed_point():
-    out = _one_step(PhaseState([0.0], [0.0]), HALF_GAUSS, 0.3, SMOOTH)
+    out = _one_step(PhaseState([0.0], [0.0]), HALF_GAUSS, 0.3, SUBGRAD, NO_DRAWS)
     assert out.position[0] == 0.0 and out.momentum[0] == 0.0
 
 
@@ -90,9 +92,9 @@ def test_trajectory_single_step_base_case():
     # its input unchanged.
     state = PhaseState([1.2, -0.7], [0.3, 0.8])
     config = LeapfrogConfig(epsilon=0.05, steps=1)
-    via_traj = integrate_trajectory(state, HALF_GAUSS, config, SMOOTH)
+    via_traj = integrate_trajectory(state, HALF_GAUSS, config, SUBGRAD, NO_DRAWS)
     x, q = state.position.copy(), state.momentum.copy()
-    direct = leapfrog(x, q, HALF_GAUSS.grad, 0.05, 1)
+    direct = leapfrog(x, q, lambda x: x, 0.05, 1)  # the gradient of x^2 / 2
     assert np.array_equal(via_traj.position, direct[0])
     assert np.array_equal(via_traj.momentum, direct[1])
     assert np.array_equal(state.position, [1.2, -0.7])
@@ -115,8 +117,8 @@ def test_trajectory_composes_unfused_steps():
 def test_zero_step_size_is_identity():
     state = PhaseState([1.5], [-0.4])
     config = LeapfrogConfig(epsilon=0.0, steps=7)
-    for kind in (SMOOTH, PROX):
-        out = integrate_trajectory(state, HALF_GAUSS, config, kind)
+    for kind in (SUBGRAD, PROX):
+        out = integrate_trajectory(state, HALF_GAUSS, config, kind, NO_DRAWS)
         assert np.array_equal(out.position, state.position)
         assert np.array_equal(out.momentum, state.momentum)
 
@@ -129,11 +131,10 @@ def test_subgrad_equals_smooth_for_differentiable_energy():
     for _ in range(50):
         x = rng.uniform(-3.0, 3.0, size=3)
         q = rng.uniform(-2.0, 2.0, size=3)
-        state = PhaseState(x, q)
-        a = _one_step(state, HALF_GAUSS, 0.05, SMOOTH)
-        b = _one_step(state, HALF_GAUSS, 0.05, SUBGRAD, rng)
-        assert np.array_equal(a.position, b.position)
-        assert np.array_equal(a.momentum, b.momentum)
+        a = leapfrog(x.copy(), q.copy(), lambda x: x, 0.05, 1)  # gradient of x^2 / 2
+        b = _one_step(PhaseState(x, q), HALF_GAUSS, 0.05, SUBGRAD, rng)
+        assert np.array_equal(a[0], b.position)
+        assert np.array_equal(a[1], b.momentum)
 
 
 def test_schemes_agree_near_kink():
@@ -155,10 +156,10 @@ def test_schemes_agree_near_kink():
 # -------------------------------------------------------------- reversibility
 
 
-def _roundtrip_error(state, energy, config, kind):
-    fwd = integrate_trajectory(state, energy, config, kind)
+def _roundtrip_error(state, energy, config, kind, rng=None):
+    fwd = integrate_trajectory(state, energy, config, kind, rng)
     back = integrate_trajectory(
-        PhaseState(fwd.position, -fwd.momentum), energy, config, kind
+        PhaseState(fwd.position, -fwd.momentum), energy, config, kind, rng
     )
     return max(
         float(np.max(np.abs(back.position - state.position))),
@@ -185,7 +186,7 @@ def test_reversibility_smooth_and_prox():
         x = rng.uniform(-3.0, 3.0, size=2)
         q = rng.uniform(-1.5, 1.5, size=2)
         state = PhaseState(x, q)
-        assert _roundtrip_error(state, HALF_GAUSS, config, SMOOTH) < 1e-9
+        assert _roundtrip_error(state, HALF_GAUSS, config, SUBGRAD, NO_DRAWS) < 1e-9
         checked_smooth += 1
         # Prox force for |x| has kinks at 0 and +-1 (the threshold edge);
         # only kink-avoiding trajectories are required to retrace.
@@ -219,7 +220,7 @@ def _fd_jacobian_det(step, x, q, h=1e-5):
 
 def test_volume_preservation_smooth():
     rng = np.random.default_rng(29)
-    step = lambda s: _one_step(s, HALF_GAUSS, 0.05, SMOOTH)
+    step = lambda s: _one_step(s, HALF_GAUSS, 0.05, SUBGRAD, NO_DRAWS)
     for _ in range(100):
         x = rng.uniform(-3.0, 3.0, size=1)
         q = rng.uniform(-1.0, 1.0, size=1)
@@ -248,7 +249,7 @@ def test_energy_conservation_smooth():
     # eps = 0.01, 100 steps on E = x^2/2: |dH| stays below 1e-3.
     state = PhaseState([1.0], [0.0])
     config = LeapfrogConfig(epsilon=0.01, steps=100)
-    out = integrate_trajectory(state, HALF_GAUSS, config, SMOOTH)
+    out = integrate_trajectory(state, HALF_GAUSS, config, SUBGRAD, NO_DRAWS)
     dh = abs(
         hamiltonian_eval(out, HALF_GAUSS) - hamiltonian_eval(state, HALF_GAUSS)
     )
@@ -270,8 +271,6 @@ def test_config_validation():
 
 def test_capability_errors():
     state = PhaseState([1.0], [0.0])
-    with pytest.raises(ValueError, match="needs an energy with a grad handle"):
-        _one_step(state, LAPLACE, 0.1, SMOOTH)  # no gradient at a kink
     bare = PotentialEnergy(value=lambda x: 0.0)
     with pytest.raises(ValueError, match="needs an energy with a residual handle"):
         _one_step(state, bare, 0.1, PROX)

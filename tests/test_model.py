@@ -105,6 +105,17 @@ def test_gg_cdf_is_derivative_of_density():
         assert num == pytest.approx(gg_density(x, params), rel=1e-5)
 
 
+def test_gg_helpers_overflow_to_their_limits():
+    # |x|**p overflows at p = 1e308; pytest turns every warning into an
+    # error here, so these also check that none is raised.
+    huge_p = GGParams(1.0, 1e308)
+    assert gg_density(2.0, huge_p) == 0.0
+    assert gg_cdf(2.0, huge_p) == 1.0
+    # gamma * G overflows for G above about 1.8: such a draw is +-inf.
+    draws = gg_direct_sample(GGParams(1e308, 1.0), np.random.default_rng(0), size=100)
+    assert np.isinf(draws).any() and not np.isnan(draws).any()
+
+
 # --------------------------------------------------------------- direct sampler
 
 
@@ -172,23 +183,24 @@ def test_gg_energy_values():
 
 def test_gg_energy_handles():
     laplace = gg_energy(GGParams(2.0, 1.0))
-    assert laplace.grad is None  # kinked at zero
+    # Kinked at zero: the subgradient there is a draw from [-1/gamma, 1/gamma].
+    assert abs(laplace.subgrad(np.zeros(1), np.random.default_rng(0))[0]) <= 0.5
     x = np.array([3.0, -0.2])
     assert np.array_equal(x - laplace.residual(x), [2.5, 0.0])
     sub = laplace.subgrad(np.array([4.0, -1.0]), np.random.default_rng(0))
     assert np.array_equal(sub, [0.5, -0.5])
 
     gauss = gg_energy(GGParams(1.0, 2.0))
-    assert gauss.grad is not None
     x = np.array([1.5, -2.0])
-    assert np.array_equal(gauss.grad(x), [3.0, -4.0])
-    # p > 1: subdifferential is the gradient singleton.
-    assert np.array_equal(gauss.subgrad(x, np.random.default_rng(0)), gauss.grad(x))
+    # p > 1: subdifferential is the gradient singleton, here 2x.
+    assert np.array_equal(gauss.subgrad(x, np.random.default_rng(0)), [3.0, -4.0])
     x = np.array([4.0])
     assert np.allclose(x - gauss.residual(x), [4.0 / 3.0])
 
     frac = gg_energy(GGParams(1.0, 1.5))
-    assert frac.grad is None  # |x|^1.5 has no second-derivative-free gradient at 0
+    # |x|^1.5 is differentiable at 0 too, with gradient 1.5 * sign(x) * |x|^0.5.
+    sub = frac.subgrad(np.array([0.0, 4.0, -1.0]), np.random.default_rng(0))
+    assert np.array_equal(sub, [0.0, 3.0, -1.5])
     x = np.array([1.0])
     assert (x - frac.residual(x))[0] == pytest.approx(0.25, abs=1e-10)
 
@@ -304,4 +316,4 @@ def test_params_validation():
 
 def test_custom_energy_missing_handles():
     bare = PotentialEnergy(value=lambda x: 0.0)
-    assert bare.grad is None and bare.subgrad is None and bare.residual is None
+    assert bare.subgrad is None and bare.residual is None

@@ -217,7 +217,6 @@ def test_nshmc_zero_potential_pure_drift():
     # and every proposal is accepted while the position moves.
     free = PotentialEnergy(
         value=lambda x: 0.0,
-        grad=lambda x: np.zeros_like(x),
         subgrad=lambda x, rng: np.zeros_like(x),
         residual=np.zeros_like,
     )
