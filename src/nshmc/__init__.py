@@ -24,12 +24,7 @@ from .convex import (
 )
 from .denoise import DenoiseModel, denoise_energy, gibbs_denoise_run, synthetic_blocks
 from .diagnostics import HistogramSpec, acf, histogram_mse, prefix_heights, snr, ssim
-from .integrators import (
-    PROX,
-    SUBGRAD,
-    LeapfrogConfig,
-    integrate_trajectory,
-)
+from .integrators import LeapfrogConfig
 from .model import (
     GGParams,
     IGParams,
@@ -48,6 +43,7 @@ from .samplers import (
     SAMPLER_KINDS,
     ChainRecord,
     SamplerConfig,
+    integrate_trajectory,
     run_chain,
     transition,
 )

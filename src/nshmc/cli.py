@@ -331,7 +331,7 @@ def cmd_exp3(
     steps: int = 10,
     levels: int = 3,
 ) -> dict:
-    """Denoise an image (a built-in synthetic one when input_pgm is None).
+    """Denoise an 8-bit image (a built-in synthetic one when input_pgm is None).
 
     Adds white Gaussian noise of the requested variance, runs the Gibbs
     sampler, and writes noisy.pgm, denoised.pgm, metrics.csv and chain.csv.
@@ -344,18 +344,6 @@ def cmd_exp3(
     t0 = time.perf_counter()
     clean = synthetic_blocks() if input_pgm is None else pgm_read(input_pgm)
     height, width = clean.shape
-    for n in (height, width):
-        if n & (n - 1) != 0:
-            raise UsageError(
-                f"image dimensions must be powers of two, got {width}x{height}"
-            )
-    if min(height, width) < _SSIM_SIZE:
-        raise UsageError(
-            f"SSIM needs an image of at least {_SSIM_SIZE}x{_SSIM_SIZE}, "
-            f"got {width}x{height}"
-        )
-    if not clean.any():
-        raise UsageError("SNR is undefined for an all-zero image")
     with _usage():
         wavelet = WaveletOperator(width=width, height=height, levels=levels)
         config = SamplerConfig(
@@ -365,6 +353,16 @@ def cmd_exp3(
             seed=seed,
             leapfrog=LeapfrogConfig(epsilon=eps, steps=steps),
         )
+    if min(height, width) < _SSIM_SIZE:
+        raise UsageError(
+            f"SSIM needs an image of at least {_SSIM_SIZE}x{_SSIM_SIZE}, "
+            f"got {width}x{height}"
+        )
+    # The outputs are 8-bit PGMs and SSIM is scored at dynamic range 255.
+    if clean.max() > 255:
+        raise UsageError(f"exp3 needs an 8-bit image, got a pixel of {clean.max():g}")
+    if not clean.any():
+        raise UsageError("SNR is undefined for an all-zero image")
     out = Path(out_dir)
 
     noise_rng = np.random.default_rng(seed + 1)

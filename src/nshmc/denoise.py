@@ -15,7 +15,8 @@ Each Gibbs sweep draws
 
 Because F is orthonormal, ||y - F^{-1}x|| equals ||Fy - x||, so the whole
 x-update runs in the coefficient domain: one ``integrators.leapfrog``
-trajectory over all coefficients (L + 1 kicks for L steps), then a
+trajectory over all coefficients (L + 1 kicks for L steps), with the kick
+that ``samplers.select_kick`` picks for the config's HMC kind, then a
 Metropolis test per coefficient, or a rejection of all of them when the
 trajectory diverged.  The posterior-mean estimate is the inverse
 transform of the averaged post-burn-in coefficients.  One ``SamplerConfig``
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import prox_denoise_energy, prox_soft_threshold, subgrad_abs_sample
-from .integrators import leapfrog, select_kick
+from .integrators import leapfrog
 from .model import IGParams, PotentialEnergy, ig_sample
-from .samplers import _HMC_SCHEMES, ChainRecord, SamplerConfig
+from .samplers import ChainRecord, SamplerConfig, select_kick
 from .wavelet import WaveletOperator
 
 __all__ = ["DenoiseModel", "denoise_energy", "gibbs_denoise_run", "synthetic_blocks"]
@@ -145,7 +146,7 @@ def _coordinate_hmc_sweep(
     under reversal.
     """
     energy = denoise_energy(obs_coeffs, sigma2, lam)
-    kick = select_kick(energy, _HMC_SCHEMES[config.kind], rng)
+    kick = select_kick(energy, config.kind, rng)
     lf = config.leapfrog
     alpha = 1.0 / sigma2
 
@@ -171,9 +172,10 @@ def gibbs_denoise_run(
     ``config`` sets the whole run, as it does for ``run_chain``: the number
     of sweeps, the burn-in, the seed, and the kernel of the x-update, which
     must be an HMC kind (one sweep of scalar transitions runs per iteration,
-    one per coefficient, accepted coordinatewise).  The returned dict holds
-    the "sigma2" and "lambda" chains, one value per sweep, and the record's
-    accepted column carries the per-sweep fraction of accepted coefficients.
+    one per coefficient, accepted coordinatewise); ``select_kick`` raises
+    ValueError for any other kind.  The returned dict holds the "sigma2"
+    and "lambda" chains, one value per sweep, and the record's accepted
+    column carries the per-sweep fraction of accepted coefficients.
 
     The x-chain must not start at the analysis coefficients Fy even though
     they are the likelihood mode: Fy interpolates the noise, so the joint
@@ -187,9 +189,6 @@ def gibbs_denoise_run(
     previous sigma2 on the measure-zero event of an exactly zero residual
     (a noiseless observation shrunk by a zero threshold).
     """
-    if config.kind not in _HMC_SCHEMES:
-        raise ValueError(f"x-update needs an HMC kind, got {config.kind!r}")
-
     rng = np.random.default_rng(config.seed)
     iterations = config.iterations
     op = model.wavelet

@@ -109,9 +109,12 @@ def acf(chain: np.ndarray, max_lag: int) -> np.ndarray:
         raise ValueError(
             f"chain of length {x.size} is too short for max_lag {max_lag}"
         )
+    # Exact power-of-two scalings, first to max|x| and then to max|d| in
+    # [0.5, 1), keep the mean of a chain near the float max from
+    # overflowing and the squares of a chain that moves on a tiny scale
+    # from underflowing to zero.
+    x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
     d = x - x.mean()
-    # An exact power-of-two scaling to max|d| in [0.5, 1) keeps the squares
-    # of a chain that moves on a tiny scale from underflowing to zero.
     d = np.ldexp(d, -math.frexp(float(np.max(np.abs(d))))[1])
     denom = float(d @ d)
     if denom == 0.0:

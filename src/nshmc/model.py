@@ -10,9 +10,10 @@ differentiability at the origin when p = 1.  Laplace (p = 1) and Gaussian
 independent coordinates.
 
 A ``PotentialEnergy`` bundles the evaluator with whatever first-order
-handles the energy supports, one per leapfrog scheme: a subgradient
-sampler and the proximal residual x - prox(x).  Integrators check for the
-handle they need and fail loudly when it is missing.
+handles the energy supports, one per HMC kind: a subgradient sampler
+(nshmc1) and the proximal residual x - prox(x) (nshmc2).
+``samplers.select_kick`` checks for the handle a kind needs and fails
+loudly when it is missing.
 """
 
 from __future__ import annotations

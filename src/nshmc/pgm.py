@@ -2,8 +2,9 @@
 
 Only the binary grayscale flavor is handled: ASCII header (magic, width,
 height, maxval, with '#' comments allowed), one whitespace byte, then raw
-samples, one byte each up to maxval 255 and two big-endian bytes above.
-Parse failures report the byte offset at which the file went wrong.
+samples, one byte each up to maxval 255 and two big-endian bytes above,
+none of them above maxval.  Parse failures report the byte offset at
+which the file went wrong.
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ def pgm_read(path) -> np.ndarray:
         )
     dtype = ">u2" if bytes_per == 2 else np.uint8
     pixels = np.frombuffer(data[pos : pos + need], dtype=dtype)
+    over = np.flatnonzero(pixels > maxval)
+    if over.size:
+        first = int(over[0])
+        raise PgmParseError(
+            f"sample {pixels[first]} above maxval {maxval}", pos + first * bytes_per
+        )
     return pixels.reshape(height, width).astype(float)
 
 

@@ -4,11 +4,13 @@ Each kind is one transition, built by ``transition`` from its
 ``SamplerConfig``: a proposal that comes with its log acceptance ratio,
 then one Metropolis test, shared by every kind.  The HMC kinds propose by
 integrating a leapfrog trajectory from a fresh Gaussian momentum, and
-their ratio is H_current - H_proposal on the total energy.  The baselines
-are a symmetric random walk and an independence sampler with a fixed
-centered Gaussian proposal, whose ratio carries the usual proposal
-correction.  A NaN ratio is a rejection for every kind.  ``run_chain``
-drives any transition with one loop.
+their ratio is H_current - H_proposal on the total energy.  The kind names
+the kick, and ``select_kick`` is the one place that reads it: "nshmc1"
+kicks with a sampled subgradient, "nshmc2" with the proximal residual
+x - prox_E(x).  The baselines are a symmetric random walk and an
+independence sampler with a fixed centered Gaussian proposal, whose ratio
+carries the usual proposal correction.  A NaN ratio is a rejection for
+every kind.  ``run_chain`` drives any transition with one loop.
 """
 
 from __future__ import annotations
@@ -18,25 +20,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import PROX, SUBGRAD, LeapfrogConfig, leapfrog, select_kick
-from .model import PotentialEnergy
+from .integrators import LeapfrogConfig, leapfrog
+from .model import PhaseState, PotentialEnergy
 
-# The span tracer in bench/tracing.py hooks these three names on this
-# module.  The chain no longer calls them, so their spans count nothing.
-from .integrators import integrate_trajectory  # noqa: F401
-from .model import PhaseState, hamiltonian_eval  # noqa: F401
+# The span tracer in bench/tracing.py hooks this name on this module.  The
+# chain does not call it, so its span counts nothing.
+from .model import hamiltonian_eval  # noqa: F401
 
 __all__ = [
     "SamplerConfig",
     "ChainRecord",
     "SAMPLER_KINDS",
     "DIVERGENCE_THRESHOLD",
+    "select_kick",
+    "integrate_trajectory",
     "transition",
     "run_chain",
 ]
 
 SAMPLER_KINDS = ("nshmc1", "nshmc2", "rwmh", "indmh")
-_HMC_SCHEMES = {"nshmc1": SUBGRAD, "nshmc2": PROX}
+# The energy handle each HMC kind kicks with.
+_KICKS = {"nshmc1": "subgrad", "nshmc2": "residual"}
 
 # An HMC trajectory whose energy error exceeds this, or is not finite, has
 # diverged (the threshold Stan uses; Betancourt 2017, section 6).
@@ -72,7 +76,7 @@ class SamplerConfig:
                 f"burn_in must lie in [0, iterations), got {self.burn_in} "
                 f"with iterations {self.iterations}"
             )
-        if self.kind in _HMC_SCHEMES:
+        if self.kind in _KICKS:
             if self.proposal_std is not None:
                 raise ValueError(f"proposal_std does not apply to kind {self.kind!r}")
             if self.leapfrog is None:
@@ -121,6 +125,34 @@ class ChainRecord:
         return ~(np.abs(self.energy_error) <= DIVERGENCE_THRESHOLD)
 
 
+def select_kick(energy: PotentialEnergy, kind: str, rng=None):
+    """The leapfrog force of HMC kind ``kind`` on ``energy``, as a function
+    of position: a subgradient drawn from ``rng`` for "nshmc1", the
+    proximal residual for "nshmc2".  Raises ValueError for another kind,
+    for an energy without the handle, and for "nshmc1" without an rng."""
+    if kind not in _KICKS:
+        raise ValueError(f"unknown HMC kind {kind!r}; expected one of {tuple(_KICKS)}")
+    name = _KICKS[kind]
+    handle = getattr(energy, name)
+    if handle is None:
+        raise ValueError(f"{kind} leapfrog needs an energy with a {name} handle")
+    if kind == "nshmc1":
+        if rng is None:
+            raise ValueError("nshmc1 needs an rng for its subgradient draws")
+        return lambda x: handle(x, rng)
+    return handle
+
+
+def integrate_trajectory(
+    state: PhaseState, energy: PotentialEnergy, config: LeapfrogConfig, kind, rng=None
+) -> PhaseState:
+    """``config.steps`` leapfrog steps with the kick of HMC kind ``kind``;
+    ``state`` is unchanged."""
+    kick = select_kick(energy, kind, rng)
+    x, q = state.position.copy(), state.momentum.copy()
+    return PhaseState(*leapfrog(x, q, kick, config.epsilon, config.steps))
+
+
 def transition(energy: PotentialEnergy, config: SamplerConfig, rng):
     """The Markov transition of ``config.kind`` on ``energy``, drawing from ``rng``.
 
@@ -132,8 +164,8 @@ def transition(energy: PotentialEnergy, config: SamplerConfig, rng):
     ``run_chain`` calls it under ``np.errstate``, so overflow does not warn.
     """
     std = config.proposal_std
-    if config.kind in _HMC_SCHEMES:
-        kick = select_kick(energy, _HMC_SCHEMES[config.kind], rng)
+    if config.kind in _KICKS:
+        kick = select_kick(energy, config.kind, rng)
         lf = config.leapfrog
 
         def propose(x, e):
@@ -221,5 +253,5 @@ def run_chain(
         samples=samples,
         accepted=accepted,
         burn_in=config.burn_in,
-        energy_error=energy_error if config.kind in _HMC_SCHEMES else None,
+        energy_error=energy_error if config.kind in _KICKS else None,
     )

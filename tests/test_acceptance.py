@@ -33,13 +33,7 @@ from nshmc.denoise import (
     synthetic_blocks,
 )
 from nshmc.diagnostics import acf
-from nshmc.integrators import (
-    PROX,
-    SUBGRAD,
-    LeapfrogConfig,
-    integrate_trajectory,
-    leapfrog,
-)
+from nshmc.integrators import LeapfrogConfig, leapfrog
 from nshmc.model import (
     GGParams,
     PhaseState,
@@ -47,7 +41,7 @@ from nshmc.model import (
     gg_energy,
     hamiltonian_eval,
 )
-from nshmc.samplers import SamplerConfig, run_chain
+from nshmc.samplers import SamplerConfig, integrate_trajectory, run_chain
 
 HALF_GAUSS = gg_energy(GGParams(2.0, 2.0))  # E(x) = x^2 / 2, smooth
 LAPLACE = gg_energy(GGParams(1.0, 1.0))
@@ -178,23 +172,23 @@ def test_criterion_03_integrator_invariants():
         state = PhaseState(
             rng.uniform(-3.0, 3.0, size=2), rng.uniform(-1.5, 1.5, size=2)
         )
-        assert _roundtrip_error(state, HALF_GAUSS, config, SUBGRAD, rng) < 1e-9
+        assert _roundtrip_error(state, HALF_GAUSS, config, "nshmc1", rng) < 1e-9
         # The prox force for |x| is piecewise linear with kinks at 0, +-1;
         # only kink-avoiding trajectories are required to retrace.
-        if _min_trajectory_distance(state, LAPLACE, config, PROX, (-1.0, 0.0, 1.0)) > 1e-3:
-            assert _roundtrip_error(state, LAPLACE, config, PROX) < 1e-9
+        if _min_trajectory_distance(state, LAPLACE, config, "nshmc2", (-1.0, 0.0, 1.0)) > 1e-3:
+            assert _roundtrip_error(state, LAPLACE, config, "nshmc2") < 1e-9
             checked_prox += 1
     assert checked_prox > 20
 
     one_step = LeapfrogConfig(epsilon=0.05, steps=1)
-    smooth_step = lambda s: integrate_trajectory(s, HALF_GAUSS, one_step, SUBGRAD, rng)
+    smooth_step = lambda s: integrate_trajectory(s, HALF_GAUSS, one_step, "nshmc1", rng)
     for _ in range(100):
         x = rng.uniform(-3.0, 3.0, size=1)
         q = rng.uniform(-1.0, 1.0, size=1)
         assert abs(_fd_jacobian_det(smooth_step, x, q) - 1.0) < 1e-5
 
     one_step = LeapfrogConfig(epsilon=0.01, steps=1)
-    prox_step = lambda s: integrate_trajectory(s, LAPLACE, one_step, PROX)
+    prox_step = lambda s: integrate_trajectory(s, LAPLACE, one_step, "nshmc2")
     done = 0
     while done < 100:
         x = rng.uniform(0.05, 3.0, size=1) * rng.choice([-1.0, 1.0])
@@ -210,7 +204,7 @@ def test_criterion_03_integrator_invariants():
         )
         x, q = state.position.copy(), state.momentum.copy()
         a = leapfrog(x, q, lambda x: x, 0.05, 20)  # the gradient of x^2 / 2
-        b = integrate_trajectory(state, HALF_GAUSS, config, SUBGRAD, rng=rng)
+        b = integrate_trajectory(state, HALF_GAUSS, config, "nshmc1", rng=rng)
         assert np.array_equal(a[0], b.position)
         assert np.array_equal(a[1], b.momentum)
     assert time.perf_counter() - t0 < 10.0
@@ -224,7 +218,7 @@ def test_criterion_04_energy_conservation_smooth():
         state = PhaseState(
             rng.uniform(-2.0, 2.0, size=1), rng.uniform(-2.0, 2.0, size=1)
         )
-        out = integrate_trajectory(state, HALF_GAUSS, config, SUBGRAD, rng)
+        out = integrate_trajectory(state, HALF_GAUSS, config, "nshmc1", rng)
         dh = abs(
             hamiltonian_eval(out, HALF_GAUSS) - hamiltonian_eval(state, HALF_GAUSS)
         )

@@ -14,6 +14,7 @@ import pytest
 
 from nshmc import cli
 from nshmc.cli import cmd_exp1, cmd_exp2, cmd_exp3, cmd_replay, cmd_sample, main
+from nshmc.denoise import synthetic_blocks
 from nshmc.diagnostics import HistogramSpec, histogram_mse
 from nshmc.model import GGParams, gg_density, gg_direct_sample
 from nshmc.pgm import pgm_read, pgm_write
@@ -519,6 +520,27 @@ def test_exp3_rejects_non_power_of_two_image(tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
+def test_exp3_reads_sides_divisible_by_2_to_the_levels(tmp_path):
+    # Sides need only divide by 2**levels = 8, not be powers of two.
+    img = np.random.default_rng(0).integers(0, 200, size=(24, 40)).astype(float)
+    src = tmp_path / "input.pgm"
+    pgm_write(img, src)
+    out = tmp_path / "run"
+    assert main(["exp3", "--input-pgm", str(src), "-n", "5", "--burn-in", "0",
+                 "--out-dir", str(out)]) == 0
+    assert pgm_read(out / "denoised.pgm").shape == (24, 40)
+
+
+def test_exp3_rejects_16_bit_image(tmp_path):
+    # The outputs are 8-bit, so a pixel above 255 would be clipped.
+    src = tmp_path / "deep.pgm"
+    pgm_write(synthetic_blocks(64) * 200, src, maxval=65535)
+    out = tmp_path / "run"
+    assert main(["exp3", "--input-pgm", str(src), "-n", "10", "--burn-in", "0",
+                 "--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_lf_must_be_whole(tmp_path):
     d = str(tmp_path)
     for lf in ("2.7", "inf", "nan"):
@@ -573,6 +595,17 @@ def test_sample_at_extreme_proposal_std_exits_0(tmp_path, capsys, sampler):
         assert "acceptance rate 0.000" in out
     else:
         assert "lag-1 autocorrelation nan" not in out
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_near_float_max_has_autocorrelation(tmp_path, capsys):
+    # The sum of a chain moving on a scale of 1e307 overflows; acf still
+    # reports a finite lag-1 autocorrelation, without a warning.
+    code = main(["sample", "--target", "gg:p=1,gamma=1e308", "--sampler", "rwmh:std=1e307",
+                 "-n", "200", "--out-dir", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert math.isfinite(float(re.search(r"lag-1 autocorrelation (\S+),", out)[1]))
 
 
 @pytest.mark.filterwarnings("error")

@@ -163,6 +163,13 @@ def test_acf_is_exact_under_power_of_two_scaling():
     assert np.array_equal(acf(np.ldexp(x, 700), 30), acf(x, 30))
 
 
+def test_acf_near_float_max_is_exact():
+    # The sum of a chain near the float max overflows; acf scales it
+    # exactly before it centres it.
+    x = np.cumsum(np.random.default_rng(3).standard_normal(400))
+    assert np.array_equal(acf(np.ldexp(x, 1015), 5), acf(x, 5))
+
+
 def test_acf_zero_lag_only():
     r = acf(np.array([1.0, 2.0, 5.0]), 0)
     assert r.shape == (1,)

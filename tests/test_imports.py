@@ -48,6 +48,17 @@ def test_package_imports_only_exported_names():
         assert not stale, (node.module, stale)
 
 
+def test_integrators_import_nothing_from_the_package():
+    # The integrator is plain numerics on arrays; the choice of kick, and
+    # with it every energy handle, stays in samplers.py.
+    tree = ast.parse((SRC / "nshmc" / "integrators.py").read_text())
+    relative = [
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    assert not relative, relative
+
+
 def test_tracer_spans_resolve():
     # bench/tracing.py patches package attributes by name and skips a name
     # that is gone, so a rename would silently drop the span from the report.

@@ -11,13 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from nshmc.integrators import (
-    PROX,
-    SUBGRAD,
-    LeapfrogConfig,
-    integrate_trajectory,
-    leapfrog,
-)
+from nshmc.integrators import LeapfrogConfig, leapfrog
 from nshmc.model import (
     GGParams,
     PhaseState,
@@ -26,6 +20,7 @@ from nshmc.model import (
     hamiltonian_eval,
     quad_l1_energy,
 )
+from nshmc.samplers import integrate_trajectory
 
 HALF_GAUSS = gg_energy(GGParams(2.0, 2.0))  # E(x) = x^2 / 2, smooth
 LAPLACE = gg_energy(GGParams(1.0, 1.0))  # E(x) = |x|, kinked at 0
@@ -42,45 +37,45 @@ def _one_step(state, energy, epsilon, kind, rng=None):
 
 
 def test_smooth_step_frozen():
-    out = _one_step(PhaseState([1.0], [0.0]), HALF_GAUSS, 0.1, SUBGRAD, NO_DRAWS)
+    out = _one_step(PhaseState([1.0], [0.0]), HALF_GAUSS, 0.1, "nshmc1", NO_DRAWS)
     assert out.position[0] == pytest.approx(0.995, abs=1e-15)
     assert out.momentum[0] == pytest.approx(-0.09975, abs=1e-15)
 
 
 def test_smooth_step_origin_fixed_point():
-    out = _one_step(PhaseState([0.0], [0.0]), HALF_GAUSS, 0.3, SUBGRAD, NO_DRAWS)
+    out = _one_step(PhaseState([0.0], [0.0]), HALF_GAUSS, 0.3, "nshmc1", NO_DRAWS)
     assert out.position[0] == 0.0 and out.momentum[0] == 0.0
 
 
 def test_subgrad_step_frozen():
     rng = np.random.default_rng(0)  # unused away from the kink
-    out = _one_step(PhaseState([2.0], [0.0]), LAPLACE, 0.1, SUBGRAD, rng)
+    out = _one_step(PhaseState([2.0], [0.0]), LAPLACE, 0.1, "nshmc1", rng)
     assert out.position[0] == pytest.approx(1.995, abs=1e-15)
     assert out.momentum[0] == pytest.approx(-0.1, abs=1e-15)
-    mirrored = _one_step(PhaseState([-2.0], [0.0]), LAPLACE, 0.1, SUBGRAD, rng)
+    mirrored = _one_step(PhaseState([-2.0], [0.0]), LAPLACE, 0.1, "nshmc1", rng)
     assert mirrored.position[0] == -out.position[0]
     assert mirrored.momentum[0] == -out.momentum[0]
 
 
 def test_prox_step_frozen():
-    out = _one_step(PhaseState([2.0], [0.0]), LAPLACE, 0.1, PROX)
+    out = _one_step(PhaseState([2.0], [0.0]), LAPLACE, 0.1, "nshmc2")
     assert out.position[0] == pytest.approx(1.995, abs=1e-15)
     assert out.momentum[0] == pytest.approx(-0.1, abs=1e-15)
     # Inside the dead zone the residual is x itself.
-    out = _one_step(PhaseState([0.5], [0.0]), LAPLACE, 0.1, PROX)
+    out = _one_step(PhaseState([0.5], [0.0]), LAPLACE, 0.1, "nshmc2")
     assert out.position[0] == pytest.approx(0.4975, abs=1e-15)
 
 
 def test_prox_step_kick_far_from_origin():
     # At |x| = 1e300 the residual is still sign(x) / gamma = 1, although
     # x - prox(x) rounds to 0 there.
-    out = _one_step(PhaseState([1e300], [0.0]), LAPLACE, 0.1, PROX)
+    out = _one_step(PhaseState([1e300], [0.0]), LAPLACE, 0.1, "nshmc2")
     assert out.momentum[0] == pytest.approx(-0.1, abs=1e-15)
 
 
 def test_prox_step_origin_fixed_point():
     for energy in (LAPLACE, HALF_GAUSS, quad_l1_energy(2.0, 2.0)):
-        out = _one_step(PhaseState([0.0], [0.0]), energy, 0.2, PROX)
+        out = _one_step(PhaseState([0.0], [0.0]), energy, 0.2, "nshmc2")
         assert out.position[0] == 0.0 and out.momentum[0] == 0.0
 
 
@@ -92,7 +87,7 @@ def test_trajectory_single_step_base_case():
     # its input unchanged.
     state = PhaseState([1.2, -0.7], [0.3, 0.8])
     config = LeapfrogConfig(epsilon=0.05, steps=1)
-    via_traj = integrate_trajectory(state, HALF_GAUSS, config, SUBGRAD, NO_DRAWS)
+    via_traj = integrate_trajectory(state, HALF_GAUSS, config, "nshmc1", NO_DRAWS)
     x, q = state.position.copy(), state.momentum.copy()
     direct = leapfrog(x, q, lambda x: x, 0.05, 1)  # the gradient of x^2 / 2
     assert np.array_equal(via_traj.position, direct[0])
@@ -106,10 +101,10 @@ def test_trajectory_composes_unfused_steps():
     # interior half kicks stay separate operations.
     state = PhaseState([2.0, 0.4], [0.1, -0.9])
     config = LeapfrogConfig(epsilon=0.1, steps=4)
-    via_traj = integrate_trajectory(state, LAPLACE, config, PROX)
+    via_traj = integrate_trajectory(state, LAPLACE, config, "nshmc2")
     manual = state
     for _ in range(4):
-        manual = _one_step(manual, LAPLACE, 0.1, PROX)
+        manual = _one_step(manual, LAPLACE, 0.1, "nshmc2")
     assert np.array_equal(via_traj.position, manual.position)
     assert np.array_equal(via_traj.momentum, manual.momentum)
 
@@ -117,7 +112,7 @@ def test_trajectory_composes_unfused_steps():
 def test_zero_step_size_is_identity():
     state = PhaseState([1.5], [-0.4])
     config = LeapfrogConfig(epsilon=0.0, steps=7)
-    for kind in (SUBGRAD, PROX):
+    for kind in ("nshmc1", "nshmc2"):
         out = integrate_trajectory(state, HALF_GAUSS, config, kind, NO_DRAWS)
         assert np.array_equal(out.position, state.position)
         assert np.array_equal(out.momentum, state.momentum)
@@ -132,7 +127,7 @@ def test_subgrad_equals_smooth_for_differentiable_energy():
         x = rng.uniform(-3.0, 3.0, size=3)
         q = rng.uniform(-2.0, 2.0, size=3)
         a = leapfrog(x.copy(), q.copy(), lambda x: x, 0.05, 1)  # gradient of x^2 / 2
-        b = _one_step(PhaseState(x, q), HALF_GAUSS, 0.05, SUBGRAD, rng)
+        b = _one_step(PhaseState(x, q), HALF_GAUSS, 0.05, "nshmc1", rng)
         assert np.array_equal(a[0], b.position)
         assert np.array_equal(a[1], b.momentum)
 
@@ -148,8 +143,8 @@ def test_schemes_agree_near_kink():
     for _ in range(200):
         x = float(rng.uniform(-band, band)) * 0.999
         q = float(rng.uniform(-2.0, 2.0))
-        s1 = _one_step(PhaseState([x], [q]), energy, eps, SUBGRAD, rng)
-        s2 = _one_step(PhaseState([x], [q]), energy, eps, PROX)
+        s1 = _one_step(PhaseState([x], [q]), energy, eps, "nshmc1", rng)
+        s2 = _one_step(PhaseState([x], [q]), energy, eps, "nshmc2")
         assert abs(s1.position[0] - s2.position[0]) < eps * eps * a
 
 
@@ -186,12 +181,12 @@ def test_reversibility_smooth_and_prox():
         x = rng.uniform(-3.0, 3.0, size=2)
         q = rng.uniform(-1.5, 1.5, size=2)
         state = PhaseState(x, q)
-        assert _roundtrip_error(state, HALF_GAUSS, config, SUBGRAD, NO_DRAWS) < 1e-9
+        assert _roundtrip_error(state, HALF_GAUSS, config, "nshmc1", NO_DRAWS) < 1e-9
         checked_smooth += 1
         # Prox force for |x| has kinks at 0 and +-1 (the threshold edge);
         # only kink-avoiding trajectories are required to retrace.
-        if _min_trajectory_distance(state, LAPLACE, config, PROX, (-1.0, 0.0, 1.0)) > 1e-3:
-            assert _roundtrip_error(state, LAPLACE, config, PROX) < 1e-9
+        if _min_trajectory_distance(state, LAPLACE, config, "nshmc2", (-1.0, 0.0, 1.0)) > 1e-3:
+            assert _roundtrip_error(state, LAPLACE, config, "nshmc2") < 1e-9
             checked_prox += 1
     assert checked_smooth == 60
     assert checked_prox > 20  # the guard must not filter everything out
@@ -220,7 +215,7 @@ def _fd_jacobian_det(step, x, q, h=1e-5):
 
 def test_volume_preservation_smooth():
     rng = np.random.default_rng(29)
-    step = lambda s: _one_step(s, HALF_GAUSS, 0.05, SUBGRAD, NO_DRAWS)
+    step = lambda s: _one_step(s, HALF_GAUSS, 0.05, "nshmc1", NO_DRAWS)
     for _ in range(100):
         x = rng.uniform(-3.0, 3.0, size=1)
         q = rng.uniform(-1.0, 1.0, size=1)
@@ -231,7 +226,7 @@ def test_volume_preservation_prox():
     # Points and their finite-difference neighborhoods stay inside one
     # smooth piece of the |x| prox force (pieces split at 0 and +-1).
     rng = np.random.default_rng(31)
-    step = lambda s: _one_step(s, LAPLACE, 0.01, PROX)
+    step = lambda s: _one_step(s, LAPLACE, 0.01, "nshmc2")
     done = 0
     while done < 100:
         x = rng.uniform(0.05, 3.0, size=1) * rng.choice([-1.0, 1.0])
@@ -249,7 +244,7 @@ def test_energy_conservation_smooth():
     # eps = 0.01, 100 steps on E = x^2/2: |dH| stays below 1e-3.
     state = PhaseState([1.0], [0.0])
     config = LeapfrogConfig(epsilon=0.01, steps=100)
-    out = integrate_trajectory(state, HALF_GAUSS, config, SUBGRAD, NO_DRAWS)
+    out = integrate_trajectory(state, HALF_GAUSS, config, "nshmc1", NO_DRAWS)
     dh = abs(
         hamiltonian_eval(out, HALF_GAUSS) - hamiltonian_eval(state, HALF_GAUSS)
     )
@@ -273,9 +268,9 @@ def test_capability_errors():
     state = PhaseState([1.0], [0.0])
     bare = PotentialEnergy(value=lambda x: 0.0)
     with pytest.raises(ValueError, match="needs an energy with a residual handle"):
-        _one_step(state, bare, 0.1, PROX)
+        _one_step(state, bare, 0.1, "nshmc2")
     with pytest.raises(ValueError, match="needs an energy with a subgrad handle"):
-        _one_step(state, bare, 0.1, SUBGRAD, np.random.default_rng(0))
+        _one_step(state, bare, 0.1, "nshmc1", np.random.default_rng(0))
 
 
 def test_trajectory_argument_validation():
@@ -284,4 +279,4 @@ def test_trajectory_argument_validation():
     with pytest.raises(ValueError):
         integrate_trajectory(state, HALF_GAUSS, config, "midpoint")
     with pytest.raises(ValueError):
-        integrate_trajectory(state, LAPLACE, config, SUBGRAD)  # rng required
+        integrate_trajectory(state, LAPLACE, config, "nshmc1")  # rng required

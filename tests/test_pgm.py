@@ -51,6 +51,7 @@ def test_parse_errors_carry_offset(tmp_path):
         (b"P5 1 1 70000 ", "maxval", None),
         (b"P5 1 1 255", "whitespace", None),
         (b"P5 2 2 255 \x00\x00", "truncated", None),
+        (b"P5 2 2 100 \x0a\xc8\x1e\xff", "above maxval", 12),
     ]
     for raw, needle, offset in cases:
         path = tmp_path / "bad.pgm"

@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import kstest
 
 from nshmc.diagnostics import acf
-from nshmc.integrators import PROX, SUBGRAD, LeapfrogConfig, integrate_trajectory
+from nshmc.integrators import LeapfrogConfig
 from nshmc.model import (
     GGParams,
     PhaseState,
@@ -29,6 +29,7 @@ from nshmc.samplers import (
     SAMPLER_KINDS,
     ChainRecord,
     SamplerConfig,
+    integrate_trajectory,
     run_chain,
     transition,
 )
@@ -363,9 +364,8 @@ def _reference_chain(initial, energy, config):
             log_ratio = float(energy.value(x)) - float(energy.value(proposal))
             log_ratio += 0.5 * (float(z @ z) - float(w @ w))
         else:
-            scheme = SUBGRAD if config.kind == "nshmc1" else PROX
             start = PhaseState(x, rng.standard_normal(x.size))
-            end = integrate_trajectory(start, energy, config.leapfrog, scheme, rng)
+            end = integrate_trajectory(start, energy, config.leapfrog, config.kind, rng)
             h0 = hamiltonian_eval(start, energy)
             h1 = hamiltonian_eval(end, energy)
             proposal, log_ratio = end.position, h0 - h1
