@@ -48,9 +48,9 @@ def main():
         observed=noisy, wavelet=WaveletOperator(width=64, height=64, levels=3)
     )
     print(f"running {CONFIG.iterations} Gibbs sweeps ({CONFIG.burn_in} burn-in) ...")
-    estimate, record, hyper = gibbs_denoise_run(model, CONFIG)
+    estimate, record = gibbs_denoise_run(model, CONFIG)
 
-    lam = hyper["lambda"][CONFIG.burn_in :]
+    lam = record.kept[:, 1]
     print(
         f"coefficient acceptance rate {record.acceptance_rate:.3f}, "
         f"posterior lambda {lam.mean():.2f} +- {lam.std():.2f}"

@@ -12,11 +12,13 @@ every result, then hands it an image or named columns per file.  It
 creates the output directory, writes the files and writes the manifest
 last, so a run that fails before it leaves no directory behind.
 
-``_build_parser`` is the only statement of each command's parameters: their
-names, types, defaults and the seed rule.  ``main`` parses the command line
-with it.  ``replay`` turns a manifest's params into ``--name=value``
-arguments and parses them with the same parser, so a wrong name, type or
-null in a manifest is the same usage error it would be on the command line.
+``_build_parser`` states each command's parameters: their names, types,
+defaults and the seed rule.  A command's optional parameters repeat their
+defaults in its signature, for Python callers; a test holds the two equal.
+``main`` parses the command line with it.  ``replay`` turns a manifest's
+params into ``--name=value`` arguments and parses them with the same
+parser, so a wrong name, type or null in a manifest is the same usage
+error it would be on the command line.
 A manifest records the command's arguments once its defaults are resolved.
 
 The valid range of a value is stated once, by the constructor that uses it
@@ -369,7 +371,8 @@ def cmd_exp3(
     noisy = clean + math.sqrt(noise_var) * noise_rng.standard_normal(clean.shape)
 
     model = DenoiseModel(observed=noisy, wavelet=wavelet)
-    estimate, record, hyper = gibbs_denoise_run(model, config)
+    estimate, record = gibbs_denoise_run(model, config)
+    sigma2, lam = record.samples.T
 
     metrics = {
         "noisy": (snr(clean, noisy), ssim(clean, noisy)),
@@ -382,8 +385,8 @@ def cmd_exp3(
         "metrics.csv": {"image": list(metrics), "snr_db": snrs, "ssim": ssims},
         "chain.csv": {
             "iteration": np.arange(iterations),
-            "sigma2": hyper["sigma2"],
-            "lambda": hyper["lambda"],
+            "sigma2": sigma2,
+            "lambda": lam,
             "accepted": record.accepted,
         },
     })
@@ -539,7 +542,7 @@ def cmd_replay(manifest_path, out_dir=None) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, the only statement of each command's parameters.
+    """The command-line parser, which states each command's parameters.
 
     An experiment subparser's destinations are its command's parameter
     names, and its ``run`` default is the command, looked up when the

@@ -97,8 +97,9 @@ class ChainRecord:
     """Everything a finished chain produced.
 
     ``samples`` has one row per iteration (including burn-in);
-    ``accepted`` flags which iterations moved, and ``acceptance_rate`` is its
-    mean; ``kept`` strips burn-in.
+    ``accepted`` flags which iterations moved (the Gibbs denoiser stores
+    each sweep's accepted fraction), and ``acceptance_rate`` is its mean;
+    ``kept`` strips burn-in.
     HMC chains also record each transition's ``energy_error``,
     H(proposal) - H(current); it is None for the Metropolis kinds.
     """

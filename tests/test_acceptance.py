@@ -27,6 +27,7 @@ from nshmc.convex import (
     scaled_abs_fn,
 )
 from nshmc.denoise import (
+    _IG_HYPER,
     DenoiseModel,
     _noise_variance_estimate,
     gibbs_denoise_run,
@@ -325,17 +326,17 @@ def test_criterion_08_gibbs_conditionals_match_analytic_means():
             seed=seed,
             leapfrog=LeapfrogConfig(epsilon=0.5, steps=10),
         )
-        _, _, hyp = gibbs_denoise_run(with_s2, config)
-        s2_draws[seed] = hyp["sigma2"][0]
-        _, _, hyp = gibbs_denoise_run(fixed_s2, config)
-        lam_draws[seed] = hyp["lambda"][0]
+        _, rec = gibbs_denoise_run(with_s2, config)
+        s2_draws[seed] = rec.samples[0, 0]
+        _, rec = gibbs_denoise_run(fixed_s2, config)
+        lam_draws[seed] = rec.samples[0, 1]
 
     shape, scale = n / 2.0, resid2 / 2.0
     se = math.sqrt(scale**2 / ((shape - 1) ** 2 * (shape - 2)) / m)
     assert abs(s2_draws.mean() - scale / (shape - 1)) < 3.0 * se
 
-    shape = with_s2.hyper_a + n
-    scale = with_s2.hyper_b + float(np.sum(np.abs(x0)))
+    shape = _IG_HYPER + n
+    scale = _IG_HYPER + float(np.sum(np.abs(x0)))
     se = math.sqrt(scale**2 / ((shape - 1) ** 2 * (shape - 2)) / m)
     assert abs(lam_draws.mean() - scale / (shape - 1)) < 3.0 * se
 

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, manifests, replay, exit codes."""
 
+import inspect
 import json
 import math
 import os
@@ -370,6 +371,27 @@ def test_replay_type_error_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_parser_defaults_match_signature_defaults():
+    # A command's optional parameters have their defaults twice: in the
+    # parser, for the command line and replay, and in the signature, for
+    # Python callers such as the benchmark's workloads.  They must agree.
+    parser = cli._build_parser()
+    defaulted = {
+        "exp1": {"eps", "steps", "burn_in", "max_lag"},
+        "exp2": {"eps", "steps", "bins"},
+        "exp3": {"eps", "steps", "levels"},
+        "sample": {"burn_in", "dim"},
+    }
+    for command, names in defaulted.items():
+        args = vars(parser.parse_args([command, "--out-dir", "unused"]))
+        params = inspect.signature(args["run"]).parameters.values()
+        signature = {p.name: p.default for p in params if p.default is not p.empty}
+        assert set(signature) == names, command
+        for name, default in signature.items():
+            assert args[name] == default, (command, name)
+            assert type(args[name]) is type(default), (command, name)
 
 
 def test_main_argparse_errors_return_2(tmp_path, capsys):

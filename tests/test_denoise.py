@@ -8,6 +8,7 @@ import pytest
 import nshmc.denoise
 from nshmc.convex import prox_denoise_energy, prox_soft_threshold, subgrad_abs_sample
 from nshmc.denoise import (
+    _IG_HYPER,
     DenoiseModel,
     _noise_variance_estimate,
     denoise_energy,
@@ -37,6 +38,24 @@ def _noisy_blocks(size, seed):
     clean = synthetic_blocks(size)
     noise = np.random.default_rng(seed).standard_normal(clean.shape)
     return clean, clean + noise * math.sqrt(SIGMA2)
+
+
+def _run_capturing_sweeps(model, config):
+    # The run keeps no sweep, so a wrapper on the x-update collects each
+    # sweep's coefficients: returns (estimate, record, sweeps), one row of
+    # sweeps per iteration.  It wraps whatever x-update is installed.
+    sweep = nshmc.denoise._coordinate_hmc_sweep
+    xs = []
+
+    def capturing(*args):
+        x, frac = sweep(*args)
+        xs.append(x.copy())
+        return x, frac
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nshmc.denoise, "_coordinate_hmc_sweep", capturing)
+        estimate, record = gibbs_denoise_run(model, config)
+    return estimate, record, np.array(xs)
 
 
 # ------------------------------------------------------------------ the energy
@@ -122,17 +141,17 @@ def test_first_sweep_hyper_draws_match_conditional_means():
     s2_draws = np.empty(m)
     lam_draws = np.empty(m)
     for seed in range(m):
-        _, _, hyp = gibbs_denoise_run(with_s2, _config(1, 0, seed))
-        s2_draws[seed] = hyp["sigma2"][0]
-        _, _, hyp = gibbs_denoise_run(fixed_s2, _config(1, 0, seed))
-        lam_draws[seed] = hyp["lambda"][0]
+        _, rec = gibbs_denoise_run(with_s2, _config(1, 0, seed))
+        s2_draws[seed] = rec.samples[0, 0]
+        _, rec = gibbs_denoise_run(fixed_s2, _config(1, 0, seed))
+        lam_draws[seed] = rec.samples[0, 1]
 
     shape, scale = n / 2.0, resid2 / 2.0
     se = math.sqrt(scale**2 / ((shape - 1) ** 2 * (shape - 2)) / m)
     assert abs(s2_draws.mean() - scale / (shape - 1)) < 3.0 * se
 
-    shape = with_s2.hyper_a + n
-    scale = with_s2.hyper_b + float(np.sum(np.abs(x0)))
+    shape = _IG_HYPER + n
+    scale = _IG_HYPER + float(np.sum(np.abs(x0)))
     se = math.sqrt(scale**2 / ((shape - 1) ** 2 * (shape - 2)) / m)
     assert abs(lam_draws.mean() - scale / (shape - 1)) < 3.0 * se
 
@@ -141,9 +160,9 @@ def test_fixed_noise_variance_chain_is_constant_at_estimate():
     _, noisy = _noisy_blocks(16, 5)
     op = WaveletOperator(16, 16, 3)
     model = DenoiseModel(noisy, op)
-    _, _, hyp = gibbs_denoise_run(model, _config(20, 0, 0))
+    _, rec = gibbs_denoise_run(model, _config(20, 0, 0))
     expected = _noise_variance_estimate(op.forward(noisy), op)
-    assert np.all(hyp["sigma2"] == expected)
+    assert np.all(rec.samples[:, 0] == expected)
 
 
 def test_noiseless_observation_keeps_noise_variance_small():
@@ -153,8 +172,8 @@ def test_noiseless_observation_keeps_noise_variance_small():
     model = DenoiseModel(
         synthetic_blocks(32), WaveletOperator(32, 32, 3), sample_noise_variance=True
     )
-    _, _, hyp = gibbs_denoise_run(model, _config(60, 0, 0))
-    s2 = hyp["sigma2"]
+    _, rec = gibbs_denoise_run(model, _config(60, 0, 0))
+    s2 = rec.samples[:, 0]
     assert np.all(np.isfinite(s2)) and np.all(s2 > 0.0)
     assert s2.mean() < 5.0
 
@@ -176,13 +195,13 @@ def test_noise_variance_estimator_accuracy():
 def test_small_run_improves_snr():
     clean, noisy = _noisy_blocks(32, 3)
     model = DenoiseModel(noisy, WaveletOperator(32, 32, 3))
-    estimate, record, hyp = gibbs_denoise_run(model, _config(150, 75, 1))
+    estimate, record = gibbs_denoise_run(model, _config(150, 75, 1))
     assert snr(clean, estimate) > snr(clean, noisy) + 1.0
-    assert record.samples.shape == (150, 1024)
-    assert record.kept.shape == (75, 1024)
+    assert record.samples.shape == (150, 2)
+    assert record.kept.shape == (75, 2)
     assert np.all((record.accepted >= 0.0) & (record.accepted <= 1.0))
     assert record.acceptance_rate > 0.5
-    assert np.all(hyp["lambda"] > 0.0)
+    assert np.all(record.samples[:, 1] > 0.0)
 
 
 def test_run_is_deterministic_in_seed():
@@ -191,22 +210,35 @@ def test_run_is_deterministic_in_seed():
     _, noisy = _noisy_blocks(16, 11)
     model = DenoiseModel(noisy, WaveletOperator(16, 16, 3))
     config = _config(30, 10, 4)
-    est_a, rec_a, hyp_a = gibbs_denoise_run(model, config)
+    est_a, rec_a, xs_a = _run_capturing_sweeps(model, config)
     assert rec_a.samples.shape[0] == config.iterations
     assert rec_a.burn_in == config.burn_in
-    est_b, rec_b, hyp_b = gibbs_denoise_run(model, config)
+    est_b, rec_b, xs_b = _run_capturing_sweeps(model, config)
     assert np.array_equal(est_a, est_b)
+    assert np.array_equal(xs_a, xs_b)
     assert np.array_equal(rec_a.samples, rec_b.samples)
-    assert np.array_equal(hyp_a["lambda"], hyp_b["lambda"])
-    est_c, _, _ = gibbs_denoise_run(model, _config(30, 10, 5))
+    est_c, _ = gibbs_denoise_run(model, _config(30, 10, 5))
     assert not np.array_equal(est_a, est_c)
+
+
+@pytest.mark.parametrize("burn_in", [0, 7, 19])
+def test_estimate_is_the_mean_of_the_kept_sweeps(burn_in):
+    # The running sum adds the kept sweeps in the order mean(axis=0) does,
+    # so the estimate equals the mean of the stored sweeps bit for bit.
+    _, noisy = _noisy_blocks(16, 6)
+    op = WaveletOperator(16, 16, 3)
+    config = _config(20, burn_in, 9)
+    estimate, record, xs = _run_capturing_sweeps(DenoiseModel(noisy, op), config)
+    assert xs.shape == (20, 256)
+    assert record.kept.shape == (20 - burn_in, 2)
+    assert np.array_equal(estimate, op.inverse(xs[burn_in:].mean(axis=0)))
 
 
 def test_subgradient_kernel_also_runs():
     clean, noisy = _noisy_blocks(32, 8)
     model = DenoiseModel(noisy, WaveletOperator(32, 32, 3))
     cfg = SamplerConfig(kind="nshmc1", iterations=80, burn_in=40, seed=2)
-    estimate, record, _ = gibbs_denoise_run(model, cfg)
+    estimate, record = gibbs_denoise_run(model, cfg)
     assert record.acceptance_rate > 0.2
     assert snr(clean, estimate) > snr(clean, noisy)
 
@@ -253,7 +285,7 @@ def test_sweep_matches_two_kick_reference_bitwise(
         noisy, WaveletOperator(32, 32, 3), sample_noise_variance=sample_noise_variance
     )
     cfg = _config(25, 10, 3, kind=kind)
-    est, rec, hyp = gibbs_denoise_run(model, cfg)
+    est, rec, xs = _run_capturing_sweeps(model, cfg)
     monkeypatch.setattr(
         nshmc.denoise,
         "_coordinate_hmc_sweep",
@@ -262,12 +294,12 @@ def test_sweep_matches_two_kick_reference_bitwise(
             cfg.kind, rng,
         ),
     )
-    ref_est, ref_rec, ref_hyp = gibbs_denoise_run(model, cfg)
+    ref_est, ref_rec, ref_xs = _run_capturing_sweeps(model, cfg)
     assert np.array_equal(est, ref_est)
-    assert np.array_equal(rec.samples, ref_rec.samples)
+    assert np.array_equal(xs, ref_xs)
     assert np.array_equal(rec.accepted, ref_rec.accepted)
-    assert np.array_equal(hyp["sigma2"], ref_hyp["sigma2"])
-    assert np.array_equal(hyp["lambda"], ref_hyp["lambda"])
+    assert np.array_equal(rec.samples[:, 0], ref_rec.samples[:, 0])
+    assert np.array_equal(rec.samples[:, 1], ref_rec.samples[:, 1])
     assert 0.0 < rec.acceptance_rate < 1.0
 
 
@@ -297,10 +329,10 @@ def test_divergent_sweep_is_a_rejection(kind):
     fy = op.forward(noisy)
     s2hat = _noise_variance_estimate(fy, op)
     x0 = prox_soft_threshold(fy, math.sqrt(s2hat * 2.0 * math.log(fy.size)))
-    estimate, record, _ = gibbs_denoise_run(
+    estimate, record, xs = _run_capturing_sweeps(
         DenoiseModel(noisy, op), _config(5, 0, 0, kind=kind, epsilon=1e200)
     )
-    assert np.array_equal(record.samples, np.tile(x0, (5, 1)))
+    assert np.array_equal(xs, np.tile(x0, (5, 1)))
     assert np.all(record.accepted == 0.0)
     assert np.all(np.isfinite(estimate))
 
@@ -316,10 +348,6 @@ def test_model_validation():
     bad[0, 0] = math.nan
     with pytest.raises(ValueError, match="finite"):
         DenoiseModel(bad, op)
-    with pytest.raises(ValueError, match="positive"):
-        DenoiseModel(np.zeros((16, 16)), op, hyper_a=0.0)
-    with pytest.raises(ValueError, match="positive"):
-        DenoiseModel(np.zeros((16, 16)), op, hyper_b=-1.0)
 
 
 def test_run_validation():

@@ -1,6 +1,7 @@
 """Import hygiene: importing the package and its CLI loads no scipy module,
 every export resolves, and so does every name the benchmark's tracer hooks
-and every name the demos import."""
+and every name the demos import.  The tracer can also read the denoiser's
+record."""
 
 import ast
 import importlib
@@ -59,18 +60,42 @@ def test_integrators_import_nothing_from_the_package():
     assert not relative, relative
 
 
-def test_tracer_spans_resolve():
-    # bench/tracing.py patches package attributes by name and skips a name
-    # that is gone, so a rename would silently drop the span from the report.
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_spans_resolve():
+    # bench/tracing.py patches package attributes by name and skips a name
+    # that is gone, so a rename would silently drop the span from the report.
+    tracing = _load_tracing()
     targets = {}
     for module, attr, span in tracing.HOOKS:
         found = tracing._resolve(f"{module}.{attr}") is not None
         targets[span] = targets.get(span, False) or found
     assert targets and all(targets.values()), targets
     assert tracing._resolve(".".join(tracing.ENERGY_FACTORY)) is not None
+
+
+def test_tracer_reads_the_denoiser_record():
+    # The denoise.gibbs span reads the run's record: one (sigma2, lam) row
+    # of 16 bytes per sweep and the acceptance rate.  Only a traced
+    # benchmark run calls it, so a change to the record would break unseen.
+    import numpy as np
+
+    from nshmc.denoise import DenoiseModel, gibbs_denoise_run, synthetic_blocks
+    from nshmc.samplers import SamplerConfig
+    from nshmc.wavelet import WaveletOperator
+
+    config = SamplerConfig(kind="nshmc2", iterations=6, burn_in=2, seed=0)
+    noisy = synthetic_blocks(16) + np.random.default_rng(0).standard_normal((16, 16))
+    result = gibbs_denoise_run(DenoiseModel(noisy, WaveletOperator(16, 16, 3)), config)
+    extra = _load_tracing()._gibbs_extra((), {}, result)
+    assert extra["iterations"] == config.iterations
+    assert extra["samples_bytes"] == 16 * config.iterations
+    assert extra["accept"] == result[1].acceptance_rate
 
 
 def test_demo_imports_resolve():

@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import kstest
 
 from nshmc.diagnostics import acf
-from nshmc.integrators import LeapfrogConfig
+from nshmc.integrators import LeapfrogConfig, leapfrog
 from nshmc.model import (
     GGParams,
     PhaseState,
@@ -31,6 +31,7 @@ from nshmc.samplers import (
     SamplerConfig,
     integrate_trajectory,
     run_chain,
+    select_kick,
     transition,
 )
 
@@ -287,6 +288,49 @@ def test_stationarity_no_drift():
         assert stat < 0.1
         halves = ks_2samp(rec.samples[:500, 0], rec.samples[500:, 0]).statistic
         assert halves < 0.15
+
+
+# One transition from exact draws must leave the target's law unchanged,
+# whatever the step size or mixing.  The floor on the KS p-value was set
+# before the test was first run.
+INVARIANCE_P_FLOOR = 1e-3
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_one_transition_leaves_the_target_invariant(kind, p):
+    # 2000 exact draws at d = 4, one transition each, then a KS test of
+    # the 8000 coordinates against the target's CDF.  A control that
+    # accepts every nshmc2 leapfrog endpoint must fail the same floor,
+    # which shows the test can see a kernel that is not exact.  nshmc2's
+    # prox kick is not the force, so its endpoints are off at every p.
+    # nshmc1 makes no such control: for p > 1 its kick is the gradient,
+    # and the classical leapfrog's bias at eps 0.5 is too small for 8000
+    # coordinates to show (p-values 0.0033, 0.073 and 0.38 at p = 1.5, 2
+    # and 3).
+    params = GGParams(1.0, p)
+    energy = gg_energy(params)
+    lf = LeapfrogConfig(epsilon=0.5, steps=10) if kind.startswith("nshmc") else None
+    config = SamplerConfig(kind=kind, iterations=1, leapfrog=lf)
+    rng = np.random.default_rng(0)
+    starts = gg_direct_sample(params, rng, size=(2000, 4))
+    step = transition(energy, config, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = np.array([step(x, float(energy.value(x)))[0] for x in starts])
+    pvalue = kstest(ends.ravel(), lambda t: gg_cdf(t, params)).pvalue
+    assert pvalue > INVARIANCE_P_FLOOR, (kind, p, pvalue)
+
+    if kind != "nshmc2":
+        return
+    rng = np.random.default_rng(1)
+    kick = select_kick(energy, kind, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = np.array([
+            leapfrog(x.copy(), rng.standard_normal(x.size), kick, lf.epsilon, lf.steps)[0]
+            for x in starts
+        ])
+    pvalue = kstest(ends.ravel(), lambda t: gg_cdf(t, params)).pvalue
+    assert pvalue < INVARIANCE_P_FLOOR, (kind, p, pvalue)
 
 
 # ------------------------------------------------------------------ chain runner
