@@ -224,8 +224,9 @@ def cmd_exp1(
 
 _EXP2_BINS = {2: 20, 3: 12, 4: 8}
 _MAX_CELLS = 2**20  # bins**dim above this is a usage error, not a MemoryError
-# exp3's SSIM overflows from about 1e155 (noise scale ** 4); below the
-# reciprocal, 1 / sigma2 overflows in the first sweep's prox.
+# exp3's SSIM overflows from about 1e155 (noise scale ** 4).  The floor is
+# the reciprocal, which keeps alpha = 1 / sigma2 and the denoiser kick's
+# threshold 1 / (lam * (1 + alpha)) many decades from overflow and underflow.
 _MAX_NOISE_VAR = 1e150
 
 

@@ -100,7 +100,9 @@ def acf(chain: np.ndarray, max_lag: int) -> np.ndarray:
 
     rho_k = sum_t (x_t - xbar)(x_{t+k} - xbar) / sum_t (x_t - xbar)^2,
     so rho_0 is exactly 1.  The chain must be longer than max_lag and must
-    not be constant.
+    not be constant.  Every sum is numpy's pairwise sum, not a BLAS dot
+    product, whose split across threads would move the last bits with the
+    BLAS thread count.
     """
     x = np.asarray(chain, dtype=float).ravel()
     if max_lag < 0:
@@ -116,13 +118,13 @@ def acf(chain: np.ndarray, max_lag: int) -> np.ndarray:
     x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
     d = x - x.mean()
     d = np.ldexp(d, -math.frexp(float(np.max(np.abs(d))))[1])
-    denom = float(d @ d)
+    denom = float(np.sum(d * d))
     if denom == 0.0:
         raise ValueError("autocorrelation of a constant chain is undefined")
     rho = np.empty(max_lag + 1)
     rho[0] = 1.0
     for k in range(1, max_lag + 1):
-        rho[k] = float(d[:-k] @ d[k:]) / denom
+        rho[k] = float(np.sum(d[:-k] * d[k:])) / denom
     return rho
 
 

@@ -1,5 +1,6 @@
 """Wavelet-domain Gibbs denoiser: energy, conditionals, end-to-end gain."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -98,16 +99,24 @@ def test_energy_prox_satisfies_descent_inequality():
         assert np.all(lhs <= coord(x) + 1e-9)
 
 
-def test_denoise_residual_is_the_subtraction():
-    # The prox kick is x - prox(x), bit for bit.
+def test_denoise_residual_matches_subtraction():
+    # The direct kick k (x - c) + clip(s, -t, t) agrees with x - prox(x) to
+    # a few ulps of the inputs' scale, also at the extreme noise variances
+    # that exp3 accepts, where k is 1 or 1e-150.
     rng = np.random.default_rng(3)
-    for _ in range(20):
+    cases = [
+        (float(rng.uniform(0.5, 20.0)), float(rng.uniform(0.5, 20.0)))
+        for _ in range(20)
+    ]
+    cases += [(1e-150, 3.0), (1e-150, 1e-3), (1e150, 3.0), (1e150, 1e3)]
+    for sigma2, lam in cases:
         c = rng.standard_normal(40) * 10.0
         x = rng.standard_normal(40) * 10.0
-        sigma2 = float(rng.uniform(0.5, 20.0))
-        lam = float(rng.uniform(0.5, 20.0))
         got = denoise_energy(c, sigma2, lam).residual(x)
-        assert np.array_equal(got, x - prox_denoise_energy(x, c, 1.0 / sigma2, lam))
+        want = x - prox_denoise_energy(x, c, 1.0 / sigma2, lam)
+        assert np.all(np.isfinite(got)), (sigma2, lam)
+        scale = np.spacing(np.maximum(np.abs(x), np.abs(c)))
+        assert np.all(np.abs(got - want) <= 4 * scale), (sigma2, lam)
 
 
 def test_energy_parameter_validation():
@@ -234,6 +243,27 @@ def test_estimate_is_the_mean_of_the_kept_sweeps(burn_in):
     assert np.array_equal(estimate, op.inverse(xs[burn_in:].mean(axis=0)))
 
 
+def test_noise_variance_draws_do_not_depend_on_blas_threads(under_blas_threads):
+    # At 128^2 the residual's sum of squares has 16 384 terms, past the
+    # length from which a BLAS dot product splits it across threads.
+    code = (
+        "import math\n"
+        "import numpy as np\n"
+        "from nshmc.denoise import DenoiseModel, gibbs_denoise_run, synthetic_blocks\n"
+        "from nshmc.samplers import SamplerConfig\n"
+        "from nshmc.wavelet import WaveletOperator\n"
+        "clean = synthetic_blocks(128)\n"
+        "noise = np.random.default_rng(0).standard_normal(clean.shape)\n"
+        f"noisy = clean + noise * math.sqrt({SIGMA2})\n"
+        "model = DenoiseModel(noisy, WaveletOperator(128, 128, 3), sample_noise_variance=True)\n"
+        "config = SamplerConfig(kind='nshmc2', iterations=3, burn_in=0, seed=0)\n"
+        "print(gibbs_denoise_run(model, config)[1].samples.tobytes().hex())\n"
+    )
+    one = under_blas_threads(code, 1)
+    assert len(one.strip()) == 2 * 3 * 2 * 8
+    assert under_blas_threads(code, 2) == one
+
+
 def test_subgradient_kernel_also_runs():
     clean, noisy = _noisy_blocks(32, 8)
     model = DenoiseModel(noisy, WaveletOperator(32, 32, 3))
@@ -246,15 +276,17 @@ def test_subgradient_kernel_also_runs():
 # ------------------------------------------------------------ the x-update
 
 
-def _reference_sweep(x, obs_coeffs, alpha, lam, eps, steps, kind, rng):
+def _reference_sweep(x, obs_coeffs, sigma2, lam, eps, steps, kind, rng):
     # A hand-written leapfrog with two kicks per step (2L in all), the
     # coordinatewise Metropolis test, and per-coordinate rejection of
-    # non-finite positions.
+    # non-finite positions.  The nshmc2 kick is the energy's residual.
     c = obs_coeffs
+    alpha = 1.0 / sigma2
+    residual = denoise_energy(c, sigma2, lam).residual
 
     def kick(v):
         if kind == "nshmc2":
-            return v - prox_denoise_energy(v, c, alpha, lam)
+            return residual(v)
         return np.asarray(subgrad_abs_sample(v, rng)) / lam + alpha * (v - c)
 
     def coord_energy(v):
@@ -290,7 +322,7 @@ def test_sweep_matches_two_kick_reference_bitwise(
         nshmc.denoise,
         "_coordinate_hmc_sweep",
         lambda x, c, sigma2, lam, cfg, rng: _reference_sweep(
-            x, c, 1.0 / sigma2, lam, cfg.leapfrog.epsilon, cfg.leapfrog.steps,
+            x, c, sigma2, lam, cfg.leapfrog.epsilon, cfg.leapfrog.steps,
             cfg.kind, rng,
         ),
     )
@@ -306,11 +338,16 @@ def test_sweep_matches_two_kick_reference_bitwise(
 def test_prox_sweep_shares_kicks_between_steps(monkeypatch):
     calls = []
 
-    def counting(*args):
-        calls.append(1)
-        return prox_denoise_energy(*args)
+    def counting_energy(*args):
+        energy = denoise_energy(*args)
 
-    monkeypatch.setattr(nshmc.denoise, "prox_denoise_energy", counting)
+        def counted(x):
+            calls.append(1)
+            return energy.residual(x)
+
+        return dataclasses.replace(energy, residual=counted)
+
+    monkeypatch.setattr(nshmc.denoise, "denoise_energy", counting_energy)
     _, noisy = _noisy_blocks(16, 2)
     model = DenoiseModel(noisy, WaveletOperator(16, 16, 3))
     steps = 7

@@ -143,6 +143,24 @@ def test_acf_alternating_chain_exact():
     assert r[2] == pytest.approx((n - 2) / n, abs=1e-15)
 
 
+def test_acf_does_not_depend_on_blas_threads(under_blas_threads):
+    # A BLAS dot product splits its sum across threads from about 10 000
+    # elements, which moves the last bits; exp1 keeps 15 000 samples.
+    code = (
+        "import numpy as np\n"
+        "from nshmc.diagnostics import acf\n"
+        "e = np.random.default_rng(0).standard_normal(15000)\n"
+        "x = np.empty_like(e)\n"
+        "x[0] = e[0]\n"
+        "for i in range(1, x.size):\n"
+        "    x[i] = 0.5 * x[i - 1] + e[i]\n"
+        "print([repr(float(r)) for r in acf(x, 50)])\n"
+    )
+    one = under_blas_threads(code, 1)
+    assert one.startswith("['1.0', ")
+    assert under_blas_threads(code, 2) == one
+
+
 def test_acf_iid_near_zero():
     x = np.random.default_rng(0).standard_normal(10**5)
     r = acf(x, 5)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from nshmc.denoise import denoise_energy
 from nshmc.diagnostics import acf
 from nshmc.integrators import LeapfrogConfig, leapfrog
 from nshmc.model import (
@@ -331,6 +332,28 @@ def test_one_transition_leaves_the_target_invariant(kind, p):
         ])
     pvalue = kstest(ends.ravel(), lambda t: gg_cdf(t, params)).pvalue
     assert pvalue < INVARIANCE_P_FLOOR, (kind, p, pvalue)
+
+
+_KICK_ENERGIES = {
+    **{f"gg_p{p}": gg_energy(GGParams(1.3, p)) for p in (1.0, 1.5, 2.0, 3.0)},
+    "quad_l1": quad_l1_energy(1.5, 0.7),
+    "denoise": denoise_energy(np.linspace(-30.0, 30.0, 64), 40.0, 7.0),
+}
+
+
+@pytest.mark.parametrize("kind", ["nshmc1", "nshmc2"])
+@pytest.mark.parametrize("name", sorted(_KICK_ENERGIES))
+def test_kick_is_pure(name, kind):
+    # leapfrog adds to x in place after each kick and keeps the half kick
+    # across a step, so a kick must leave x as it was and return an array
+    # of its own.
+    x = np.random.default_rng(4).standard_normal(64) * 20.0
+    x[::7] = 0.0
+    before = x.copy()
+    force = select_kick(_KICK_ENERGIES[name], kind, np.random.default_rng(5))(x)
+    assert np.array_equal(x, before)
+    assert isinstance(force, np.ndarray) and force.shape == x.shape
+    assert not np.shares_memory(force, x)
 
 
 # ------------------------------------------------------------------ chain runner
