@@ -134,8 +134,12 @@ def _chain_acf(chain: np.ndarray, max_lag: int) -> np.ndarray:
 
 def _mse_curve(samples, ticks, target, spec: HistogramSpec) -> np.ndarray:
     """Histogram MSE against target heights of samples[:t] for each t in ticks."""
-    heights = prefix_heights(samples, ticks, spec)
-    return np.array([np.mean((h - target) ** 2) for h in heights])
+    # np.mean's arithmetic without its wrapper, which costs more than the
+    # sum itself at 50 bins.
+    return np.array([
+        np.add.reduce((h - target) ** 2, axis=None) / h.size
+        for h in prefix_heights(samples, ticks, spec)
+    ])
 
 
 def _checkpoints(iterations: int, points: int = 200) -> np.ndarray:
@@ -393,6 +397,15 @@ def cmd_exp3(
     })
     for name, (snr_db, ssim_val) in metrics.items():
         print(f"exp3 {name}: SNR {snr_db:.2f} dB, SSIM {ssim_val:.4f}")
+    accept = float(record.accepted[burn_in:].mean())
+    print(f"exp3 x-update: post-burn-in acceptance {accept:.3f}")
+    if accept == 0.0:
+        print(
+            "warning: exp3 accepted no x-update after burn-in; the denoised "
+            "image is the chain's state at the end of burn-in (its start "
+            "point if no sweep accepted any), not a posterior mean",
+            file=sys.stderr,
+        )
     return {"out_dir": out, "metrics": metrics, "estimate": estimate, "record": record}
 
 

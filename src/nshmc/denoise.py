@@ -132,7 +132,10 @@ def denoise_energy(
 
     def value(x):
         diff = x - c
-        return float(np.sum(np.abs(x))) / lam + 0.5 * alpha * float(diff @ diff)
+        # A pairwise sum, not a BLAS dot, whose split across threads moves
+        # the last bits with the thread count.
+        l2 = float(np.add.reduce(diff * diff, axis=None))
+        return float(np.add.reduce(np.abs(x), axis=None)) / lam + 0.5 * alpha * l2
 
     def subgrad(x, rng):
         return np.asarray(subgrad_abs_sample(x, rng)) / lam + alpha * (x - c)

@@ -56,21 +56,37 @@ def prefix_heights(samples, ends, spec: HistogramSpec) -> Iterator[np.ndarray]:
 
     samples has shape (n,) or (n, d) and is binned on spec's grid along every
     axis; each yield is count / (t * width**d) over the bins**d cells in C
-    order.  Bin k holds [e_k, e_k+1) of the edges linspace(lo, hi, bins + 1),
-    the last bin also holds hi, and values outside [lo, hi] are dropped:
-    numpy's rule.  ends must increase strictly within [1, n].  Each sample is
-    binned once, into one count vector that carries over between ends.
+    order.  ends must increase strictly within [1, n].
+
+    Every coordinate is binned once, by one ``searchsorted(edges, x,
+    side="right")`` over the whole chain with edges = linspace(lo, hi,
+    bins + 1): bin k holds [e_k, e_k+1), a value equal to hi goes to the
+    last bin, and a sample with any coordinate outside [lo, hi] (±inf and
+    NaN included) is dropped but still counts in t.  This is
+    ``np.histogramdd``'s rule, and the counts match it bit for bit.  Each
+    segment between consecutive ends then adds one ``bincount`` of its cell
+    indices to a single count vector, so memory stays O(n + bins**d).
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if sorted(set(ends)) != list(ends) or not all(1 <= t <= len(x) for t in ends):
         raise ValueError(f"ends must increase strictly within [1, {len(x)}]")
-    dim = x.shape[1]
-    grid = {"bins": [spec.bins] * dim, "range": [(spec.lo, spec.hi)] * dim}
-    counts = np.zeros(spec.bins**dim)
+    bins, dim = spec.bins, x.shape[1]
+    cells = bins**dim
+    edges = np.linspace(spec.lo, spec.hi, bins + 1)
+    # Bin index in 0..bins-1 inside the range, -1 below lo or bins above hi
+    # (NaN sorts above every edge).
+    idx = np.searchsorted(edges, x, side="right") - 1
+    idx[x == edges[-1]] -= 1
+    flat = idx[:, 0]
+    for j in range(1, dim):
+        flat = flat * bins + idx[:, j]
+    # Samples outside the range count in the spare cell past the last one.
+    flat[((idx < 0) | (idx >= bins)).any(axis=1)] = cells
+    counts = np.zeros(cells)
     for start, t in zip([0, *ends], ends):
-        counts += np.histogramdd(x[start:t], **grid)[0].ravel()
+        counts += np.bincount(flat[start:t], minlength=cells + 1)[:cells]
         yield counts / (t * spec.width**dim)
 
 
@@ -118,13 +134,13 @@ def acf(chain: np.ndarray, max_lag: int) -> np.ndarray:
     x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
     d = x - x.mean()
     d = np.ldexp(d, -math.frexp(float(np.max(np.abs(d))))[1])
-    denom = float(np.sum(d * d))
+    denom = float(np.add.reduce(d * d, axis=None))
     if denom == 0.0:
         raise ValueError("autocorrelation of a constant chain is undefined")
     rho = np.empty(max_lag + 1)
     rho[0] = 1.0
     for k in range(1, max_lag + 1):
-        rho[k] = float(np.sum(d[:-k] * d[k:])) / denom
+        rho[k] = float(np.add.reduce(d[:-k] * d[k:], axis=None)) / denom
     return rho
 
 

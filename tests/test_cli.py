@@ -202,6 +202,22 @@ def test_exp3_outputs(tmp_path):
     _assert_only_listed_outputs(tmp_path)
 
 
+def test_exp3_reports_x_update_acceptance(tmp_path, capsys):
+    argv = ["exp3", "-n", "20", "--burn-in", "10", "--seed", "0"]
+    assert main([*argv, "--out-dir", str(tmp_path / "ok")]) == 0
+    out, err = capsys.readouterr()
+    assert "exp3 x-update: post-burn-in acceptance" in out
+    assert "acceptance 0.000" not in out and err == ""
+    # At a noise variance of 1e-20 the fixed step is far too large for the
+    # curvature 1/sigma2, so no sweep accepts a coefficient: the run still
+    # succeeds, but says that its estimate never moved.
+    argv += ["--noise-var", "1e-20", "--out-dir", str(tmp_path / "stuck")]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "exp3 x-update: post-burn-in acceptance 0.000" in out
+    assert err.startswith("warning: exp3 accepted no x-update after burn-in")
+
+
 def test_exp3_reads_pgm_input(tmp_path):
     rng = np.random.default_rng(0)
     img = rng.integers(0, 200, size=(32, 32)).astype(float)

@@ -264,6 +264,22 @@ def test_noise_variance_draws_do_not_depend_on_blas_threads(under_blas_threads):
     assert under_blas_threads(code, 2) == one
 
 
+def test_energy_value_does_not_depend_on_blas_threads(under_blas_threads):
+    # ||x - c||^2 over 16 384 coefficients: a BLAS dot product splits it
+    # across threads and moves the last digit with the thread count.
+    code = (
+        "import numpy as np\n"
+        "from nshmc.denoise import denoise_energy\n"
+        "for seed in range(5):\n"
+        "    rng = np.random.default_rng(seed)\n"
+        "    c, x = rng.standard_normal((2, 16384))\n"
+        "    print(repr(denoise_energy(c, 0.3, 2.0).value(x)))\n"
+    )
+    one = under_blas_threads(code, 1)
+    assert len(one.split()) == 5
+    assert under_blas_threads(code, 2) == one
+
+
 def test_subgradient_kernel_also_runs():
     clean, noisy = _noisy_blocks(32, 8)
     model = DenoiseModel(noisy, WaveletOperator(32, 32, 3))

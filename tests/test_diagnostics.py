@@ -102,25 +102,35 @@ def test_prefix_heights_edge_rule():
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize(
     "spec",
-    [HistogramSpec(), HistogramSpec(lo=-2.0, hi=3.0, bins=5), HistogramSpec(-1.0, 0.7, 3)],
+    [
+        HistogramSpec(),
+        HistogramSpec(lo=-2.0, hi=3.0, bins=5),
+        HistogramSpec(-1.0, 0.7, 3),
+        HistogramSpec(lo=-0.5, hi=2.5, bins=1),
+    ],
 )
 def test_prefix_heights_match_numpy_on_edges(spec, dim):
     # Values drawn from every interior edge, lo, hi, the nearest floats
-    # outside the range and a few interior points.
+    # outside the range, +-inf, NaN and a few interior points.  ends holds
+    # every index, so each single-sample segment is checked, except on the
+    # 50**4-cell grid, where each end costs two passes over 6.25e6 cells.
     rng = np.random.default_rng(dim)
     edges = np.linspace(spec.lo, spec.hi, spec.bins + 1)
-    outside = [np.nextafter(spec.lo, -np.inf), np.nextafter(spec.hi, np.inf)]
+    outside = [
+        np.nextafter(spec.lo, -np.inf), np.nextafter(spec.hi, np.inf), np.inf, -np.inf, np.nan
+    ]
     pool = np.concatenate([edges, outside, rng.uniform(spec.lo, spec.hi, 20)])
-    x = rng.choice(pool, size=(300, dim))
-    ends = [1, 2, 9, 10, 57, 299, 300]
+    n = 300
+    x = rng.choice(pool, size=(n, dim))
+    ends = list(range(1, n + 1)) if spec.bins**dim < 10**6 else [1, 2, 9, 10, 57, 299, 300]
     grid = {"bins": [spec.bins] * dim, "range": [(spec.lo, spec.hi)] * dim}
     samples = x[:, 0] if dim == 1 else x
     for t, heights in zip(ends, prefix_heights(samples, ends, spec), strict=True):
+        counts, _ = np.histogramdd(x[:t], **grid)
+        assert np.array_equal(heights, counts.ravel() / (t * spec.width**dim))
         if dim == 1:
             counts, _ = np.histogram(x[:t, 0], bins=spec.bins, range=(spec.lo, spec.hi))
-        else:
-            counts, _ = np.histogramdd(x[:t], **grid)
-        assert np.array_equal(heights, counts.ravel() / (t * spec.width**dim))
+            assert np.array_equal(heights, counts / (t * spec.width))
 
 
 def test_prefix_heights_rejects_bad_ends():

@@ -181,6 +181,18 @@ def test_gg_energy_values():
     assert gg_energy(GGParams(1.0, 2.0)).value(np.array([1.0, 2.0])) == 5.0
 
 
+@pytest.mark.parametrize("dim", [1, 16, 16384])
+def test_energy_values_are_numpy_sums_bitwise(dim):
+    # value sums with np.add.reduce; it must give np.sum's pairwise sum.
+    x = np.random.default_rng(dim).standard_normal(dim) * 3.0
+    for p in (1.0, 1.5, 2.0, 3.0):
+        expected = float(np.sum(np.abs(x) ** p)) / 0.7
+        assert gg_energy(GGParams(0.7, p)).value(x) == expected
+    a, b = 0.3, 1.7
+    expected = float(a * np.sum(np.abs(x)) + b * np.sum(x * x))
+    assert quad_l1_energy(a, b).value(x) == expected
+
+
 def test_gg_energy_handles():
     laplace = gg_energy(GGParams(2.0, 1.0))
     # Kinked at zero: the subgradient there is a draw from [-1/gamma, 1/gamma].
