@@ -284,7 +284,7 @@ def cmd_exp2(
         raise UsageError(f"bins**dim = {bins}**{dim} exceeds the {_MAX_CELLS}-cell limit")
     out = Path(out_dir)
     t0 = time.perf_counter()
-    energy = gg_energy(params, dimension=dim)
+    energy = gg_energy(params)
 
     ref_rng = np.random.default_rng(seed + 4)
     ref = gg_direct_sample(params, ref_rng, size=(10 * iterations, dim))

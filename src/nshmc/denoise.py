@@ -103,6 +103,13 @@ class DenoiseModel:
             raise ValueError("observed image must be finite")
 
 
+def _coefficient_energy(v, obs_coeffs, lam: float, alpha: float) -> np.ndarray:
+    """The energy of x | sigma2, lam, y per coefficient, alpha = 1 / sigma2:
+    |v| / lam + alpha * (v - obs_coeffs)**2 / 2.  Its sum is U(v), and the
+    sweep's coordinatewise Metropolis test reads it term by term."""
+    return np.abs(v) / lam + 0.5 * alpha * (v - obs_coeffs) ** 2
+
+
 def denoise_energy(
     obs_coeffs: np.ndarray, sigma2: float, lam: float
 ) -> PotentialEnergy:
@@ -110,7 +117,8 @@ def denoise_energy(
 
     U(x) = ||x||_1 / lam + alpha * ||x - obs_coeffs||^2 / 2 with
     alpha = 1 / sigma2, which equals the pixel-domain residual form because
-    the transform is orthonormal.
+    the transform is orthonormal.  ``value`` is the pairwise sum of
+    ``_coefficient_energy``, so it does not depend on the BLAS threads.
 
     The prox kick ``residual`` is x - prox(x) computed without the
     subtraction.  With c = obs_coeffs, k = alpha / (1 + alpha) and
@@ -128,14 +136,9 @@ def denoise_energy(
         raise ValueError(f"lam must be finite and positive, got {lam}")
     c = np.asarray(obs_coeffs, dtype=float)
     alpha = 1.0 / sigma2
-    n = c.size
 
     def value(x):
-        diff = x - c
-        # A pairwise sum, not a BLAS dot, whose split across threads moves
-        # the last bits with the thread count.
-        l2 = float(np.add.reduce(diff * diff, axis=None))
-        return float(np.add.reduce(np.abs(x), axis=None)) / lam + 0.5 * alpha * l2
+        return float(np.add.reduce(_coefficient_energy(x, c, lam, alpha), axis=None))
 
     def subgrad(x, rng):
         return np.asarray(subgrad_abs_sample(x, rng)) / lam + alpha * (x - c)
@@ -152,7 +155,7 @@ def denoise_energy(
         d += s
         return d
 
-    return PotentialEnergy(value=value, subgrad=subgrad, dimension=n, residual=residual)
+    return PotentialEnergy(value=value, subgrad=subgrad, residual=residual)
 
 
 def _coordinate_hmc_sweep(
@@ -181,18 +184,15 @@ def _coordinate_hmc_sweep(
     kick = select_kick(energy, config.kind, rng)
     lf = config.leapfrog
     alpha = 1.0 / sigma2
-
-    def coord_energy(v):
-        return np.abs(v) / lam + 0.5 * alpha * (v - obs_coeffs) ** 2
-
     q0 = rng.standard_normal(x.size)
     with np.errstate(over="ignore", invalid="ignore"):
         v, q = leapfrog(x.copy(), q0.copy(), kick, lf.epsilon, lf.steps)
         u = rng.random(x.size)
         if not np.isfinite(v).all():
             return x, 0.0
-        dh = (coord_energy(x) + 0.5 * q0 * q0) - (coord_energy(v) + 0.5 * q * q)
-        ok = np.log(u) < dh
+        h0 = _coefficient_energy(x, obs_coeffs, lam, alpha) + 0.5 * q0 * q0
+        h1 = _coefficient_energy(v, obs_coeffs, lam, alpha) + 0.5 * q * q
+        ok = np.log(u) < h0 - h1
     return np.where(ok, v, x), float(ok.mean())
 
 

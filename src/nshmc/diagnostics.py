@@ -34,12 +34,19 @@ class HistogramSpec:
     bins: int = 50
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("histogram range must be finite")
-        if self.hi <= self.lo:
-            raise ValueError(f"need hi > lo, got [{self.lo}, {self.hi}]")
         if self.bins < 1:
             raise ValueError(f"bins must be >= 1, got {self.bins}")
+        try:
+            width = self.width
+        except OverflowError:  # a bin count past the float max
+            width = 0.0
+        # This also refuses a non-finite lo or hi and hi <= lo; a finite
+        # range wider than the float max, or a tiny one, has no usable width.
+        if not (math.isfinite(width) and width > 0):
+            raise ValueError(
+                f"bin width must be finite and positive, got {width} "
+                f"for [{self.lo}, {self.hi}] in {self.bins} bins"
+            )
 
     @property
     def width(self) -> float:

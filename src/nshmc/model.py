@@ -99,9 +99,8 @@ class PhaseState:
 class PotentialEnergy:
     """A convex potential with optional first-order handles.
 
-    value        maps an N-vector to a float.
+    value        maps a vector of any length to a float: an energy has no size.
     subgrad      (x, rng) -> a sampled element of the subdifferential.
-    dimension    fixed N, or None for separable energies usable at any N.
     residual     x - prox(x) for the proximity operator of the full energy:
                  the kick of the proximal leapfrog, the gradient of the
                  energy's Moreau envelope at parameter 1.
@@ -109,7 +108,6 @@ class PotentialEnergy:
 
     value: Callable[[np.ndarray], float]
     subgrad: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None
-    dimension: int | None = None
     residual: Callable[[np.ndarray], np.ndarray] | None = None
 
 
@@ -149,7 +147,7 @@ def gg_cdf(x, params: GGParams):
     return out
 
 
-def gg_energy(params: GGParams, dimension: int | None = None) -> PotentialEnergy:
+def gg_energy(params: GGParams) -> PotentialEnergy:
     """Potential energy E(x) = sum_i |x_i|**p / gamma of an i.i.d. GG vector.
 
     The prox kick ``residual`` is ``power_residual``: x - prox(x) for the
@@ -187,12 +185,11 @@ def gg_energy(params: GGParams, dimension: int | None = None) -> PotentialEnergy
     return PotentialEnergy(
         value=value,
         subgrad=subgrad,
-        dimension=dimension,
         residual=lambda x: power_residual(x, gamma, p),
     )
 
 
-def quad_l1_energy(a: float, b: float, dimension: int | None = None) -> PotentialEnergy:
+def quad_l1_energy(a: float, b: float) -> PotentialEnergy:
     """Potential energy sum_i a * |x_i| + b * x_i**2.
 
     The prototypical non-smooth test energy: kinked at zero, quadratic in
@@ -221,9 +218,7 @@ def quad_l1_energy(a: float, b: float, dimension: int | None = None) -> Potentia
         # a / t + |x| * (2b / t), so that no intermediate overflows.
         return np.where(ax <= a, x, np.copysign(a / t + ax * (2.0 * b / t), x))
 
-    return PotentialEnergy(
-        value=value, subgrad=subgrad, dimension=dimension, residual=residual
-    )
+    return PotentialEnergy(value=value, subgrad=subgrad, residual=residual)
 
 
 def gg_direct_sample(params: GGParams, rng: np.random.Generator, size=None):
@@ -260,9 +255,4 @@ def ig_sample(params: IGParams, rng: np.random.Generator, size=None):
 def hamiltonian_eval(state: PhaseState, energy: PotentialEnergy) -> float:
     """Total energy H(x, q) = E(x) + q.q / 2."""
     x, q = state.position, state.momentum
-    if energy.dimension is not None and x.size != energy.dimension:
-        raise ValueError(
-            f"state dimension {x.size} does not match energy dimension "
-            f"{energy.dimension}"
-        )
     return float(energy.value(x)) + 0.5 * float(q @ q)

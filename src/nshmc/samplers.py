@@ -218,6 +218,7 @@ def run_chain(
 ) -> ChainRecord:
     """Run one chain from ``initial`` and record every state.
 
+    The chain has the length of ``initial``, since an energy has no size.
     The generator is seeded from ``config.seed`` alone, so a rerun with the
     same config reproduces the chain bit for bit.  Rejected iterations
     repeat the previous state.  Every kind carries the potential energy of
@@ -231,11 +232,6 @@ def run_chain(
     x = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
     if x.ndim != 1:
         raise ValueError(f"initial state must be a vector, got shape {x.shape}")
-    if energy.dimension is not None and x.size != energy.dimension:
-        raise ValueError(
-            f"initial state dimension {x.size} does not match energy "
-            f"dimension {energy.dimension}"
-        )
     if not np.isfinite(x).all():
         raise ValueError(f"initial state must be finite, got {x}")
     step = transition(energy, config, rng)

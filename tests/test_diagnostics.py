@@ -42,6 +42,15 @@ def test_histogram_spec_validation():
         HistogramSpec(bins=0)
     with pytest.raises(ValueError):
         HistogramSpec(lo=-math.inf)
+    # A range wider than the float max has an infinite bin width, and a
+    # subnormal range split in two, or a bin count past the float max, a
+    # zero one.
+    with pytest.raises(ValueError, match="bin width"):
+        HistogramSpec(lo=-1e308, hi=1e308, bins=4)
+    with pytest.raises(ValueError, match="bin width"):
+        HistogramSpec(lo=0.0, hi=5e-324, bins=2)
+    with pytest.raises(ValueError, match="bin width"):
+        HistogramSpec(bins=10**400)
 
 
 # -------------------------------------------------------------- histogram mse

@@ -1,7 +1,7 @@
 """Import hygiene: importing the package and its CLI loads no scipy module,
 every export resolves, and so does every name the benchmark's tracer hooks
 and every name the demos import.  The tracer can also read the denoiser's
-record."""
+record, and its energy hook leaves a chain's samples as they were."""
 
 import ast
 import importlib
@@ -96,6 +96,32 @@ def test_tracer_reads_the_denoiser_record():
     assert extra["iterations"] == config.iterations
     assert extra["samples_bytes"] == 16 * config.iterations
     assert extra["accept"] == result[1].acceptance_rate
+
+
+def test_tracer_energy_hook_keeps_the_chain():
+    # The tracer rebuilds each energy that nshmc.cli.gg_energy returns, with
+    # every handle wrapped, by dataclasses.replace.  A traced chain must
+    # sample as an untraced one does, and make one value call for the
+    # initial state plus one per transition.
+    import numpy as np
+
+    import nshmc.cli
+    from nshmc.model import GGParams
+    from nshmc.samplers import SamplerConfig, run_chain
+
+    config = SamplerConfig(kind="nshmc2", iterations=20, seed=0)
+    params = GGParams(1.0, 1.5)
+    plain = run_chain(np.zeros(4), nshmc.cli.gg_energy(params), config)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = run_chain(np.zeros(4), nshmc.cli.gg_energy(params), config)
+    finally:
+        tracer.uninstall()
+    assert plain.accepted.any()
+    assert np.array_equal(traced.samples, plain.samples)
+    assert tracing.layer_metrics(tracer)["model.energy.value.calls"] == (21, "count")
 
 
 def test_demo_imports_resolve():

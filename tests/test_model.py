@@ -293,12 +293,6 @@ def test_hamiltonian_kinetic_separability():
         assert h == h0 + 0.5 * float(q @ q)
 
 
-def test_hamiltonian_dimension_mismatch():
-    energy = gg_energy(GGParams(1.0, 1.0), dimension=3)
-    with pytest.raises(ValueError):
-        hamiltonian_eval(PhaseState([1.0], [0.0]), energy)
-
-
 # ------------------------------------------------------------- states and params
 
 

@@ -582,9 +582,6 @@ def test_run_chain_argument_validation():
     cfg = SamplerConfig(kind="rwmh", iterations=10)
     with pytest.raises(ValueError):
         run_chain(np.zeros((2, 2)), LAPLACE, cfg)
-    sized = gg_energy(GGParams(1.0, 1.0), dimension=3)
-    with pytest.raises(ValueError):
-        run_chain(np.zeros(2), sized, cfg)
 
 
 # ------------------------------------------------------------------ configuration
