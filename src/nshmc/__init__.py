@@ -28,13 +28,11 @@ from .integrators import LeapfrogConfig
 from .model import (
     GGParams,
     IGParams,
-    PhaseState,
     PotentialEnergy,
     gg_cdf,
     gg_density,
     gg_direct_sample,
     gg_energy,
-    hamiltonian_eval,
     ig_sample,
     quad_l1_energy,
 )
@@ -43,7 +41,6 @@ from .samplers import (
     SAMPLER_KINDS,
     ChainRecord,
     SamplerConfig,
-    integrate_trajectory,
     run_chain,
     transition,
 )

@@ -23,8 +23,9 @@ import numpy as np
 from .integrators import LeapfrogConfig, leapfrog
 from .model import PhaseState, PotentialEnergy
 
-# The span tracer in bench/tracing.py hooks this name on this module.  The
-# chain does not call it, so its span counts nothing.
+# The span tracer in bench/tracing.py hooks this name on this module, and
+# PhaseState and integrate_trajectory too.  The chain calls none of them, so
+# their spans count nothing.
 from .model import hamiltonian_eval  # noqa: F401
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "SAMPLER_KINDS",
     "DIVERGENCE_THRESHOLD",
     "select_kick",
-    "integrate_trajectory",
     "transition",
     "run_chain",
 ]
@@ -148,7 +148,7 @@ def integrate_trajectory(
     state: PhaseState, energy: PotentialEnergy, config: LeapfrogConfig, kind, rng=None
 ) -> PhaseState:
     """``config.steps`` leapfrog steps with the kick of HMC kind ``kind``;
-    ``state`` is unchanged."""
+    ``state`` is unchanged.  Not exported: a bench/tracing.py hook target."""
     kick = select_kick(energy, kind, rng)
     x, q = state.position.copy(), state.momentum.copy()
     return PhaseState(*leapfrog(x, q, kick, config.epsilon, config.steps))

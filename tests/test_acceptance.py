@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from leapfrog_checks import fd_jacobian_det, flow, min_kink_distance, roundtrip_error
 from scipy.stats import kstest
 
 from nshmc.cli import cmd_exp1, cmd_exp2, cmd_exp3, cmd_replay, cmd_sample
@@ -35,14 +36,8 @@ from nshmc.denoise import (
 )
 from nshmc.diagnostics import acf
 from nshmc.integrators import LeapfrogConfig, leapfrog
-from nshmc.model import (
-    GGParams,
-    PhaseState,
-    gg_cdf,
-    gg_energy,
-    hamiltonian_eval,
-)
-from nshmc.samplers import SamplerConfig, integrate_trajectory, run_chain
+from nshmc.model import GGParams, gg_cdf, gg_energy
+from nshmc.samplers import SamplerConfig, run_chain
 
 HALF_GAUSS = gg_energy(GGParams(2.0, 2.0))  # E(x) = x^2 / 2, smooth
 LAPLACE = gg_energy(GGParams(1.0, 1.0))
@@ -122,44 +117,6 @@ def test_criterion_02_prox_residual_is_a_subgradient():
             assert f(u) >= fp + r * (u - p) - 1e-9
 
 
-def _roundtrip_error(state, energy, config, kind, rng=None):
-    fwd = integrate_trajectory(state, energy, config, kind, rng)
-    back = integrate_trajectory(
-        PhaseState(fwd.position, -fwd.momentum), energy, config, kind, rng
-    )
-    return max(
-        float(np.max(np.abs(back.position - state.position))),
-        float(np.max(np.abs(back.momentum + state.momentum))),
-    )
-
-
-def _min_trajectory_distance(state, energy, config, kind, kinks):
-    dist = min(min(abs(p - k) for k in kinks) for p in state.position)
-    s = state
-    one = LeapfrogConfig(epsilon=config.epsilon, steps=1)
-    for _ in range(config.steps):
-        s = integrate_trajectory(s, energy, one, kind)
-        dist = min(dist, min(min(abs(p - k) for k in kinks) for p in s.position))
-    return dist
-
-
-def _fd_jacobian_det(step, x, q, h=1e-5):
-    n = x.size
-    jac = np.empty((2 * n, 2 * n))
-    base = np.concatenate([x, q])
-    for j in range(2 * n):
-        up = base.copy()
-        dn = base.copy()
-        up[j] += h
-        dn[j] -= h
-        su = step(PhaseState(up[:n], up[n:]))
-        sd = step(PhaseState(dn[:n], dn[n:]))
-        jac[:, j] = np.concatenate(
-            [su.position - sd.position, su.momentum - sd.momentum]
-        ) / (2.0 * h)
-    return float(np.linalg.det(jac))
-
-
 def test_criterion_03_integrator_invariants():
     # Reversibility below 1e-9 and unit Jacobian determinant to 1e-5 for
     # the subgradient map on a smooth energy and the proximal map; there
@@ -167,63 +124,56 @@ def test_criterion_03_integrator_invariants():
     # draws nothing from its rng.  Under 10 seconds.
     t0 = time.perf_counter()
     rng = np.random.default_rng(23)
-    config = LeapfrogConfig(epsilon=0.05, steps=20)
+    smooth = flow(HALF_GAUSS, "nshmc1", 0.05, 20, rng)
+    prox = flow(LAPLACE, "nshmc2", 0.05, 20)
+    guard_step = flow(LAPLACE, "nshmc2", 0.05, 1)
     checked_prox = 0
     for _ in range(60):
-        state = PhaseState(
-            rng.uniform(-3.0, 3.0, size=2), rng.uniform(-1.5, 1.5, size=2)
-        )
-        assert _roundtrip_error(state, HALF_GAUSS, config, "nshmc1", rng) < 1e-9
+        x, q = rng.uniform(-3.0, 3.0, size=2), rng.uniform(-1.5, 1.5, size=2)
+        assert roundtrip_error(smooth, x, q) < 1e-9
         # The prox force for |x| is piecewise linear with kinks at 0, +-1;
         # only kink-avoiding trajectories are required to retrace.
-        if _min_trajectory_distance(state, LAPLACE, config, "nshmc2", (-1.0, 0.0, 1.0)) > 1e-3:
-            assert _roundtrip_error(state, LAPLACE, config, "nshmc2") < 1e-9
+        if min_kink_distance(guard_step, x, q, 20, (-1.0, 0.0, 1.0)) > 1e-3:
+            assert roundtrip_error(prox, x, q) < 1e-9
             checked_prox += 1
     assert checked_prox > 20
 
-    one_step = LeapfrogConfig(epsilon=0.05, steps=1)
-    smooth_step = lambda s: integrate_trajectory(s, HALF_GAUSS, one_step, "nshmc1", rng)
+    smooth_step = flow(HALF_GAUSS, "nshmc1", 0.05, 1, rng)
     for _ in range(100):
         x = rng.uniform(-3.0, 3.0, size=1)
         q = rng.uniform(-1.0, 1.0, size=1)
-        assert abs(_fd_jacobian_det(smooth_step, x, q) - 1.0) < 1e-5
+        assert abs(fd_jacobian_det(smooth_step, x, q) - 1.0) < 1e-5
 
-    one_step = LeapfrogConfig(epsilon=0.01, steps=1)
-    prox_step = lambda s: integrate_trajectory(s, LAPLACE, one_step, "nshmc2")
+    prox_step = flow(LAPLACE, "nshmc2", 0.01, 1)
     done = 0
     while done < 100:
         x = rng.uniform(0.05, 3.0, size=1) * rng.choice([-1.0, 1.0])
         if min(abs(abs(x[0]) - 1.0), abs(x[0])) < 0.05:
             continue
         q = rng.uniform(-0.5, 0.5, size=1)
-        assert abs(_fd_jacobian_det(prox_step, x, q) - 1.0) < 1e-5
+        assert abs(fd_jacobian_det(prox_step, x, q) - 1.0) < 1e-5
         done += 1
 
     for _ in range(50):
-        state = PhaseState(
-            rng.uniform(-3.0, 3.0, size=2), rng.uniform(-1.5, 1.5, size=2)
-        )
-        x, q = state.position.copy(), state.momentum.copy()
-        a = leapfrog(x, q, lambda x: x, 0.05, 20)  # the gradient of x^2 / 2
-        b = integrate_trajectory(state, HALF_GAUSS, config, "nshmc1", rng=rng)
-        assert np.array_equal(a[0], b.position)
-        assert np.array_equal(a[1], b.momentum)
+        x, q = rng.uniform(-3.0, 3.0, size=2), rng.uniform(-1.5, 1.5, size=2)
+        # lambda x: x is the gradient of x^2 / 2.
+        a = leapfrog(x.copy(), q.copy(), lambda x: x, 0.05, 20)
+        b = smooth(x, q)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
     assert time.perf_counter() - t0 < 10.0
 
 
 def test_criterion_04_energy_conservation_smooth():
     # eps = 0.01, 100 leapfrog steps on E = x^2/2: |dH| < 1e-3.
     rng = np.random.default_rng(4)
-    config = LeapfrogConfig(epsilon=0.01, steps=100)
+    trajectory = flow(HALF_GAUSS, "nshmc1", 0.01, 100, rng)
     for _ in range(50):
-        state = PhaseState(
-            rng.uniform(-2.0, 2.0, size=1), rng.uniform(-2.0, 2.0, size=1)
-        )
-        out = integrate_trajectory(state, HALF_GAUSS, config, "nshmc1", rng)
-        dh = abs(
-            hamiltonian_eval(out, HALF_GAUSS) - hamiltonian_eval(state, HALF_GAUSS)
-        )
-        assert dh < 1e-3
+        x0, q0 = rng.uniform(-2.0, 2.0, size=1), rng.uniform(-2.0, 2.0, size=1)
+        x, q = trajectory(x0, q0)
+        h0 = float(HALF_GAUSS.value(x0)) + 0.5 * float(q0 @ q0)
+        h1 = float(HALF_GAUSS.value(x)) + 0.5 * float(q @ q)
+        assert abs(h1 - h0) < 1e-3
 
 
 def test_criterion_05_sampler_hits_target_distribution(tmp_path):

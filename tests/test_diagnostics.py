@@ -281,6 +281,24 @@ def test_ssim_independent_noise_scores_low():
     assert ssim(x, y) < 0.1
 
 
+def test_ssim_does_not_depend_on_blas_threads(under_blas_threads):
+    # The window is applied as matrix-vector products, which BLAS may split
+    # across threads; exp3 scores images of this size and larger.
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from nshmc.diagnostics import _ssim_filter, _ssim_window, ssim\n"
+        "rng = np.random.default_rng(6)\n"
+        "x = rng.uniform(0.0, 255.0, size=(512, 512))\n"
+        "y = x + 20.0 * rng.standard_normal(x.shape)\n"
+        "local = _ssim_filter(x * y, _ssim_window())\n"
+        "print(repr(ssim(x, y)), hashlib.sha256(local.tobytes()).hexdigest())\n"
+    )
+    one = under_blas_threads(code, 1)
+    assert 0.0 < float(one.split()[0]) < 1.0
+    assert under_blas_threads(code, 2) == one
+
+
 def test_ssim_input_errors():
     with pytest.raises(ValueError, match="11x11"):
         ssim(np.ones((8, 8)), np.ones((8, 8)))

@@ -1,0 +1,90 @@
+"""Golden output digests: a given seed gives bit-identical output.
+
+Each CLI run below goes in-process through ``cli.main``, and every file it
+writes except ``manifest.json`` (which records a wall time) is hashed.
+Together the runs cover every sampler kind, p in {1, 1.5, 2, 3}, the a|x| +
+bx^2 target, the three experiments and ``sample``.  The Gibbs denoiser's
+opt-in noise-variance draws, which no command makes, are hashed through
+the estimate and record that ``gibbs_denoise_run`` returns.
+
+The digests assume numpy 2.4.6 on an x86_64 CPU whose SIMD paths give the
+bits that this table was computed with; another numpy or CPU may move the
+last bits of a transcendental function and so every digest.  A change that
+moves a stream on purpose updates its digests in the same diff and writes
+the move up in CHANGES.md; a digest is never regenerated to absorb a move
+that nobody can explain.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from nshmc.cli import main
+from nshmc.denoise import DenoiseModel, gibbs_denoise_run, synthetic_blocks
+from nshmc.integrators import LeapfrogConfig
+from nshmc.samplers import SamplerConfig
+from nshmc.wavelet import WaveletOperator
+
+# CLI arguments -> {output file: first 16 hex digits of its SHA-256}.
+GOLDEN = {
+    "exp1 -n 1000": {
+        "acf.csv": "462db0428bb6fc57",
+        "mse_curve.csv": "ceef5df45bc943a8",
+    },
+    "exp2 --dim 3 -n 600": {
+        "convergence.csv": "279f08bdaf770973",
+        "mse_curve.csv": "66c099a3a329f5e1",
+    },
+    "exp3 -n 20 --burn-in 10": {
+        "chain.csv": "637cda43aaabe80e",
+        "denoised.pgm": "71932cd0b3356d85",
+        "metrics.csv": "ea5b08fab092adc5",
+        "noisy.pgm": "e5856370f8bf9c91",
+    },
+    "sample --target gg:p=1.5 --sampler nshmc2:eps=0.3,lf=10 --dim 4 -n 500": {
+        "chain.csv": "69d69b52e2d116f3",
+    },
+    "sample --target gg:p=3 --sampler nshmc1:eps=0.3,lf=10 --dim 3 -n 300": {
+        "chain.csv": "d7b57474317fc5d4",
+    },
+    "sample --target gg:p=2,gamma=2 --sampler nshmc2:eps=0.3,lf=10 --dim 2 -n 300": {
+        "chain.csv": "8dcbb0796c4ac92c",
+    },
+    "sample --target quadl1:a=1,b=0.5 --sampler nshmc1:eps=0.3,lf=10 --dim 2 -n 300": {
+        "chain.csv": "8db72a155fc380d4",
+    },
+    "sample --target gg:p=2 --sampler rwmh:std=0.8 --dim 2 -n 300": {
+        "chain.csv": "6322983e0f65e36e",
+    },
+    "sample --target gg:p=1.5 --sampler indmh:std=1.5 --dim 2 -n 300": {
+        "chain.csv": "d30250c5a0a14943",
+    },
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("run", list(GOLDEN))
+def test_cli_outputs_match_golden_digests(run, tmp_path):
+    assert main(run.split() + ["--out-dir", str(tmp_path)]) == 0
+    digests = {
+        path.name: _digest(path.read_bytes())
+        for path in sorted(tmp_path.iterdir())
+        if path.name != "manifest.json"
+    }
+    assert digests == GOLDEN[run]
+
+
+def test_denoiser_noise_variance_draws_match_golden_digest():
+    noisy = synthetic_blocks(32) + np.random.default_rng(2).standard_normal((32, 32)) * 40**0.5
+    model = DenoiseModel(noisy, WaveletOperator(32, 32, 3), sample_noise_variance=True)
+    config = SamplerConfig(
+        kind="nshmc2", iterations=20, burn_in=10, seed=3, leapfrog=LeapfrogConfig(0.5, 10)
+    )
+    estimate, record = gibbs_denoise_run(model, config)
+    assert np.unique(record.samples[:, 0]).size == config.iterations  # sigma2 moves
+    data = estimate.tobytes() + record.samples.tobytes() + record.accepted.tobytes()
+    assert _digest(data) == "cb426c2b985ffc78"

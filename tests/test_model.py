@@ -169,6 +169,9 @@ def test_ig_sample_mean_a100():
 def test_ig_sample_strictly_positive():
     draws = ig_sample(IGParams(3.0, 4.0), np.random.default_rng(11), size=5000)
     assert np.all(draws > 0.0)
+    # Without a size, one draw is a Python float.
+    draw = ig_sample(IGParams(3.0, 4.0), np.random.default_rng(11))
+    assert type(draw) is float and draw > 0.0
 
 
 # --------------------------------------------------------------------- energies

@@ -17,20 +17,17 @@ from nshmc.diagnostics import acf
 from nshmc.integrators import LeapfrogConfig, leapfrog
 from nshmc.model import (
     GGParams,
-    PhaseState,
     PotentialEnergy,
     gg_cdf,
     gg_density,
     gg_direct_sample,
     gg_energy,
-    hamiltonian_eval,
     quad_l1_energy,
 )
 from nshmc.samplers import (
     SAMPLER_KINDS,
     ChainRecord,
     SamplerConfig,
-    integrate_trajectory,
     run_chain,
     select_kick,
     transition,
@@ -413,9 +410,9 @@ def test_hmc_chain_records_energy_error_and_divergences():
 
 def _reference_chain(initial, energy, config):
     """A chain composed step by step from the public pieces, with its own
-    Metropolis test.  An HMC transition builds one PhaseState and calls
-    ``integrate_trajectory`` and ``hamiltonian_eval`` twice; a Metropolis
-    transition evaluates E at both ends of its proposal."""
+    Metropolis test.  An HMC transition runs ``leapfrog`` with the kick from
+    ``select_kick`` and evaluates H = E(x) + q.q / 2 at both ends; a
+    Metropolis transition evaluates E at both ends of its proposal."""
     rng = np.random.default_rng(config.seed)
     x = np.array(initial, dtype=float)
     std = config.proposal_std
@@ -431,11 +428,13 @@ def _reference_chain(initial, energy, config):
             log_ratio = float(energy.value(x)) - float(energy.value(proposal))
             log_ratio += 0.5 * (float(z @ z) - float(w @ w))
         else:
-            start = PhaseState(x, rng.standard_normal(x.size))
-            end = integrate_trajectory(start, energy, config.leapfrog, config.kind, rng)
-            h0 = hamiltonian_eval(start, energy)
-            h1 = hamiltonian_eval(end, energy)
-            proposal, log_ratio = end.position, h0 - h1
+            q = rng.standard_normal(x.size)
+            kick = select_kick(energy, config.kind, rng)
+            lf = config.leapfrog
+            proposal, qp = leapfrog(x.copy(), q.copy(), kick, lf.epsilon, lf.steps)
+            h0 = float(energy.value(x)) + 0.5 * float(q @ q)
+            h1 = float(energy.value(proposal)) + 0.5 * float(qp @ qp)
+            log_ratio = h0 - h1
             errors.append(h1 - h0)
         ok = math.log(rng.random()) < log_ratio
         if ok:
