@@ -3,7 +3,9 @@
 Each CLI run below goes in-process through ``cli.main``, and every file it
 writes except ``manifest.json`` (which records a wall time) is hashed.
 Together the runs cover every sampler kind, p in {1, 1.5, 2, 3}, the a|x| +
-bx^2 target, the three experiments and ``sample``.  The Gibbs denoiser's
+bx^2 target, the three experiments and ``sample``, and one-coordinate
+chains on gg at p = 1 and 2 (exp1, and nshmc1's draws at the origin) and on
+the a|x| + bx^2 target.  The Gibbs denoiser's
 opt-in noise-variance draws, which no command makes, are hashed through
 the estimate and record that ``gibbs_denoise_run`` returns.
 
@@ -32,6 +34,10 @@ GOLDEN = {
         "acf.csv": "462db0428bb6fc57",
         "mse_curve.csv": "ceef5df45bc943a8",
     },
+    "exp1 --p 2 -n 1000": {
+        "acf.csv": "76276fc1d3bad82a",
+        "mse_curve.csv": "d1dcd4b6033ac695",
+    },
     "exp2 --dim 3 -n 600": {
         "convergence.csv": "279f08bdaf770973",
         "mse_curve.csv": "66c099a3a329f5e1",
@@ -59,6 +65,12 @@ GOLDEN = {
     },
     "sample --target gg:p=1.5 --sampler indmh:std=1.5 --dim 2 -n 300": {
         "chain.csv": "d30250c5a0a14943",
+    },
+    "sample --target gg:p=1 --sampler nshmc1:eps=0.3,lf=10 --dim 1 -n 500": {
+        "chain.csv": "47b6fe934cbe169a",
+    },
+    "sample --target quadl1:a=1,b=0.5 --sampler nshmc2:eps=0.3,lf=10 --dim 1 -n 300": {
+        "chain.csv": "60c03a8ac34efc64",
     },
 }
 
