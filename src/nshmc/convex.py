@@ -108,8 +108,15 @@ def subgrad_abs_sample(x, rng: np.random.Generator):
 
     Away from zero the subdifferential is the singleton {sign(x)}; at zero it
     is the whole interval [-1, 1], from which a point is drawn uniformly.
-    Accepts scalars or arrays (elementwise).
+    Accepts scalars or arrays (elementwise).  A float is answered without
+    numpy, with the same value and the same draw as a one-element array.
     """
+    if isinstance(x, float):
+        if x == 0.0:
+            return rng.uniform(-1.0, 1.0)
+        if not math.isfinite(x):
+            raise ValueError("subgradient sampling requires finite input")
+        return 1.0 if x > 0.0 else -1.0
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("subgradient sampling requires finite input")

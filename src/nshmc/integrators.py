@@ -11,7 +11,8 @@ it from the sampler kind (``samplers.select_kick``): a subgradient drawn
 from the subdifferential of E, or the proximal residual x - prox_E(x).
 
 ``leapfrog``, the one integrator that the samplers and the denoiser run,
-runs the trajectory in place on plain arrays.  It computes each half kick
+runs the trajectory in place on plain arrays, or on Python floats for a
+one-coordinate chain, with the same bits.  It computes each half kick
 eps/2 * force(x) once and subtracts it at the end of step k and at the
 start of step k + 1, so L steps take L + 1 kicks, not 2L; the arithmetic
 is that of L single steps composed.  A sampled subgradient is drawn once
@@ -50,12 +51,14 @@ class LeapfrogConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
-def leapfrog(x: np.ndarray, q: np.ndarray, kick, epsilon: float, steps: int):
+def leapfrog(x, q, kick, epsilon: float, steps: int):
     """Run ``steps`` leapfrog steps from (x, q), overwriting both float arrays.
 
-    Returns the final (x, q).  A kick that raises ValueError at a position
-    that is no longer finite ends the trajectory there, and the diverged
-    state is returned for the caller's Metropolis test to reject.
+    Returns the final (x, q).  x and q may also be Python floats, which the
+    same code runs with the same arithmetic and cannot overwrite.  A kick
+    that raises ValueError at a position that is no longer finite ends the
+    trajectory there, and the diverged state is returned for the caller's
+    Metropolis test to reject.
     """
     half = 0.5 * epsilon
     half_kick = half * kick(x)

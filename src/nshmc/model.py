@@ -73,7 +73,7 @@ class IGParams:
 
 # bench/tracing.py hooks PhaseState and hamiltonian_eval (through
 # nshmc.samplers).  Neither is exported and no command reaches either, so
-# their spans count nothing: the leapfrog runs on plain arrays.
+# their spans count nothing: the leapfrog runs on plain arrays and floats.
 class PhaseState:
     """Position/momentum pair, stored as equal-length float vectors."""
 
@@ -105,6 +105,15 @@ class PotentialEnergy:
     residual     x - prox(x) for the proximity operator of the full energy:
                  the kick of the proximal leapfrog, the gradient of the
                  energy's Moreau envelope at parameter 1.
+
+    A one-coordinate chain passes each handle a Python float where it would
+    pass a one-element vector, and carries on with the float or numpy
+    scalar that comes back.  numpy ufuncs on a float give the bits they
+    give on a one-element array, but ``**`` on a numpy scalar calls the C
+    library's pow, whose last bits differ, so a handle writes powers with
+    ``np.power``.  ``gg_energy`` at p = 1 and 2 answers a float in plain
+    Python with the same bits (abs, comparisons and arithmetic; no ``**``,
+    which would raise OverflowError); every other energy runs numpy on it.
     """
 
     value: Callable[[np.ndarray], float]
@@ -163,31 +172,50 @@ def gg_energy(params: GGParams) -> PotentialEnergy:
     gamma, p = params.gamma, params.p
 
     if p == 1.0:
-        # |x| alone, not |x| ** 1: the power costs about a tenth of an
-        # rwmh transition on a 1-D chain.  np.add.reduce is np.sum's
-        # pairwise sum without np.sum's Python wrapper.
+        t = 1.0 / gamma
+
+        # |x| alone, not |x| ** 1, which costs a power per coordinate.
+        # np.add.reduce is np.sum's pairwise sum without np.sum's wrapper.
         def value(x):
+            if isinstance(x, float):
+                return abs(x) / gamma
             return float(np.add.reduce(np.abs(x), axis=None)) / gamma
 
         def subgrad(x, rng):
-            return np.asarray(subgrad_abs_sample(x, rng)) / gamma
+            return subgrad_abs_sample(x, rng) / gamma
+
+        def residual(x):
+            if isinstance(x, float):
+                # np.clip's value, NaN included, without a call.
+                return t if x > t else -t if x < -t else x
+            return power_residual(x, gamma, p)
+
+        return PotentialEnergy(value=value, subgrad=subgrad, residual=residual)
+
+    def value(x):
+        if p == 2.0 and isinstance(x, float):
+            return x * x / gamma
+        return float(np.add.reduce(np.power(np.abs(x), p), axis=None)) / gamma
+
+    # For p > 1 the subdifferential is a singleton everywhere, so the
+    # sampler is deterministic and the rng goes unused.
+    def subgrad(x, rng):
+        x = np.asarray(x, dtype=float)
+        return (p / gamma) * np.sign(x) * np.power(np.abs(x), p - 1.0)
+
+    if p == 2.0:
+        g2 = gamma + 2.0
+
+        def residual(x):
+            # power_residual's p = 2 form, which serves floats and arrays.
+            return 2.0 * x / g2
 
     else:
 
-        def value(x):
-            return float(np.add.reduce(np.abs(x) ** p, axis=None)) / gamma
+        def residual(x):
+            return power_residual(x, gamma, p)
 
-        # For p > 1 the subdifferential is a singleton everywhere, so the
-        # sampler is deterministic and the rng goes unused.
-        def subgrad(x, rng):
-            x = np.asarray(x, dtype=float)
-            return (p / gamma) * np.sign(x) * np.abs(x) ** (p - 1.0)
-
-    return PotentialEnergy(
-        value=value,
-        subgrad=subgrad,
-        residual=lambda x: power_residual(x, gamma, p),
-    )
+    return PotentialEnergy(value=value, subgrad=subgrad, residual=residual)
 
 
 def quad_l1_energy(a: float, b: float) -> PotentialEnergy:

@@ -11,6 +11,11 @@ x - prox_E(x).  The baselines are a symmetric random walk and an
 independence sampler with a fixed centered Gaussian proposal, whose ratio
 carries the usual proposal correction.  A NaN ratio is a rejection for
 every kind.  ``run_chain`` drives any transition with one loop.
+
+A state is a float vector, or a Python float when the chain has one
+coordinate, as ``run_chain`` runs it.  A float state draws scalars and
+squares its momentum: the same stream and the same bits as a one-element
+vector, without numpy's per-call cost.
 """
 
 from __future__ import annotations
@@ -144,6 +149,19 @@ def select_kick(energy: PotentialEnergy, kind: str, rng=None):
     return handle
 
 
+def _normal(rng, x):
+    """Standard normal draws shaped like the state x; for a float, one
+    float, the same stream as a size-1 draw."""
+    if isinstance(x, float):
+        return rng.standard_normal()
+    return rng.standard_normal(x.size)
+
+
+def _sq(v) -> float:
+    """v . v; for a float v * v, the same bits as a one-element v @ v."""
+    return v * v if isinstance(v, float) else float(v @ v)
+
+
 def integrate_trajectory(
     state: PhaseState, energy: PotentialEnergy, config: LeapfrogConfig, kind, rng=None
 ) -> PhaseState:
@@ -158,10 +176,11 @@ def transition(energy: PotentialEnergy, config: SamplerConfig, rng):
     """The Markov transition of ``config.kind`` on ``energy``, drawing from ``rng``.
 
     Returns ``step(x, e) -> (x, e, accepted, energy_error)``: one proposal
-    from state x of finite energy e, kept when log u < its log acceptance
-    ratio for a fresh uniform u, so a NaN ratio is a rejection like any
-    other.  A proposal energy of -inf raises ValueError.  The energy error
-    is H(proposal) - H(current), with H = E for the Metropolis kinds.
+    from state x (a vector, or a float for one coordinate) of finite energy
+    e, kept when log u < its log acceptance ratio for a fresh uniform u, so
+    a NaN ratio is a rejection like any other.  A proposal energy of -inf
+    raises ValueError.  The energy error is H(proposal) - H(current), with
+    H = E for the Metropolis kinds.
     ``run_chain`` calls it under ``np.errstate``, so overflow does not warn.
     """
     std = config.proposal_std
@@ -172,11 +191,13 @@ def transition(energy: PotentialEnergy, config: SamplerConfig, rng):
         def propose(x, e):
             # A diverged trajectory has H = NaN; it counts as H = inf, so its
             # energy error is inf.
-            q = rng.standard_normal(x.size)
-            h0 = e + 0.5 * float(q @ q)
-            xp, qp = leapfrog(x.copy(), q, kick, lf.epsilon, lf.steps)
+            q = _normal(rng, x)
+            h0 = e + 0.5 * _sq(q)
+            # leapfrog overwrites an array; a float is never overwritten.
+            x0 = x if isinstance(x, float) else x.copy()
+            xp, qp = leapfrog(x0, q, kick, lf.epsilon, lf.steps)
             ep = float(energy.value(xp))
-            h1 = ep + 0.5 * float(qp @ qp)
+            h1 = ep + 0.5 * _sq(qp)
             if math.isnan(h1):
                 h1 = math.inf
             return xp, ep, h0 - h1, h1 - h0
@@ -185,7 +206,7 @@ def transition(energy: PotentialEnergy, config: SamplerConfig, rng):
 
         def propose(x, e):
             # N(x, std^2 I) is symmetric: the ratio is the energy difference.
-            xp = x + std * rng.standard_normal(x.size)
+            xp = x + std * _normal(rng, x)
             ep = float(energy.value(xp))
             return xp, ep, e - ep, ep - e
 
@@ -195,11 +216,11 @@ def transition(energy: PotentialEnergy, config: SamplerConfig, rng):
             # N(0, std^2 I) ignores x, so the ratio carries the proposal
             # correction (|x*|^2 - |x|^2) / (2 std^2).  It is taken from
             # z = x* / std and w = x / std, so no power of std overflows.
-            z = rng.standard_normal(x.size)
+            z = _normal(rng, x)
             xp = std * z
             w = x / std
             ep = float(energy.value(xp))
-            return xp, ep, e - ep + 0.5 * (float(z @ z) - float(w @ w)), ep - e
+            return xp, ep, e - ep + 0.5 * (_sq(z) - _sq(w)), ep - e
 
     def step(x, e):
         xp, ep, log_ratio, error = propose(x, e)
@@ -218,7 +239,9 @@ def run_chain(
 ) -> ChainRecord:
     """Run one chain from ``initial`` and record every state.
 
-    The chain has the length of ``initial``, since an energy has no size.
+    The chain has the length of ``initial``, since an energy has no size;
+    a one-coordinate chain runs on a Python float (see ``PotentialEnergy``)
+    and stores it in the same ``samples`` column.
     The generator is seeded from ``config.seed`` alone, so a rerun with the
     same config reproduces the chain bit for bit.  Rejected iterations
     repeat the previous state.  Every kind carries the potential energy of
@@ -234,12 +257,14 @@ def run_chain(
         raise ValueError(f"initial state must be a vector, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"initial state must be finite, got {x}")
+    n_iter = config.iterations
+    samples = np.empty((n_iter, x.size))
+    if x.size == 1:
+        x = float(x[0])
     step = transition(energy, config, rng)
     e = float(energy.value(x))
     if not math.isfinite(e):
         raise ValueError(f"initial state must have finite energy, got {e}")
-    n_iter = config.iterations
-    samples = np.empty((n_iter, x.size))
     accepted = np.empty(n_iter, dtype=bool)
     energy_error = np.empty(n_iter)
     with np.errstate(over="ignore", invalid="ignore"):

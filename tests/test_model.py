@@ -220,6 +220,34 @@ def test_gg_energy_handles():
     assert (x - frac.residual(x))[0] == pytest.approx(0.25, abs=1e-10)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_gg_energy_on_a_float_matches_a_one_element_array(p):
+    # A one-coordinate chain calls the handles on Python floats.  Each must
+    # return the bits (and for p = 1 the subgradient draw) that a
+    # one-element array gives, at signed zeros, the kink ends +-1/gamma,
+    # subnormal, huge and overflowing values, +-inf and NaN.
+    def bits(v):
+        return np.float64(v).tobytes()
+
+    gamma = 0.7
+    energy = gg_energy(GGParams(gamma, p))
+    points = [0.0, -0.0, 1.0 / gamma, -1.0 / gamma, 5e-324, -1e-310, 1e154, -1e300,
+              math.inf, -math.inf, math.nan]
+    points += (np.random.default_rng(0).standard_normal(200) * 3.0).tolist()
+    for i, x in enumerate(points):
+        arr = np.array([x])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert bits(energy.value(x)) == bits(energy.value(arr)), x
+            assert bits(energy.residual(x)) == bits(energy.residual(arr)[0]), x
+            if p == 1.0 and not math.isfinite(x):
+                for v in (x, arr):
+                    with pytest.raises(ValueError, match="finite"):
+                        energy.subgrad(v, np.random.default_rng(i))
+                continue
+            got = energy.subgrad(x, np.random.default_rng(i))
+            assert bits(got) == bits(energy.subgrad(arr, np.random.default_rng(i))[0]), x
+
+
 def test_gg_energy_subgrad_scaling():
     # Subgradient of E/gamma at x != 0 equals sign(x)/gamma exactly.
     rng = np.random.default_rng(0)

@@ -297,38 +297,44 @@ INVARIANCE_P_FLOOR = 1e-3
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("kind", SAMPLER_KINDS)
 def test_one_transition_leaves_the_target_invariant(kind, p):
-    # 2000 exact draws at d = 4, one transition each, then a KS test of
-    # the 8000 coordinates against the target's CDF.  A control that
-    # accepts every nshmc2 leapfrog endpoint must fail the same floor,
-    # which shows the test can see a kernel that is not exact.  nshmc2's
-    # prox kick is not the force, so its endpoints are off at every p.
-    # nshmc1 makes no such control: for p > 1 its kick is the gradient,
-    # and the classical leapfrog's bias at eps 0.5 is too small for 8000
-    # coordinates to show (p-values 0.0033, 0.073 and 0.38 at p = 1.5, 2
-    # and 3).
+    # At d = 4 and at d = 1, 8000 / d exact draws, one transition each,
+    # then a KS test of the 8000 coordinates against the target's CDF.  At
+    # d = 1 the states are Python floats, as run_chain passes them.  A
+    # control that accepts every nshmc2 leapfrog endpoint must fail the
+    # same floor, which shows the test can see a kernel that is not exact.
+    # nshmc2's prox kick is not the force, so its endpoints are off at
+    # every p.  nshmc1 makes no such control: for p > 1 its kick is the
+    # gradient, and the classical leapfrog's bias at eps 0.5 is too small
+    # for 8000 coordinates to show (p-values 0.0033, 0.073 and 0.38 at
+    # p = 1.5, 2 and 3, at d = 4).
     params = GGParams(1.0, p)
     energy = gg_energy(params)
     lf = LeapfrogConfig(epsilon=0.5, steps=10) if kind.startswith("nshmc") else None
     config = SamplerConfig(kind=kind, iterations=1, leapfrog=lf)
-    rng = np.random.default_rng(0)
-    starts = gg_direct_sample(params, rng, size=(2000, 4))
-    step = transition(energy, config, rng)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ends = np.array([step(x, float(energy.value(x)))[0] for x in starts])
-    pvalue = kstest(ends.ravel(), lambda t: gg_cdf(t, params)).pvalue
-    assert pvalue > INVARIANCE_P_FLOOR, (kind, p, pvalue)
+    for dim in (4, 1):
+        rng = np.random.default_rng(0)
+        draws = gg_direct_sample(params, rng, size=(8000 // dim, dim))
+        starts = draws.ravel().tolist() if dim == 1 else draws
+        step = transition(energy, config, rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = np.array([step(x, float(energy.value(x)))[0] for x in starts])
+        pvalue = kstest(ends.ravel(), lambda t: gg_cdf(t, params)).pvalue
+        assert pvalue > INVARIANCE_P_FLOOR, (kind, p, dim, pvalue)
 
-    if kind != "nshmc2":
-        return
-    rng = np.random.default_rng(1)
-    kick = select_kick(energy, kind, rng)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ends = np.array([
-            leapfrog(x.copy(), rng.standard_normal(x.size), kick, lf.epsilon, lf.steps)[0]
-            for x in starts
-        ])
-    pvalue = kstest(ends.ravel(), lambda t: gg_cdf(t, params)).pvalue
-    assert pvalue < INVARIANCE_P_FLOOR, (kind, p, pvalue)
+        if kind != "nshmc2":
+            continue
+        rng = np.random.default_rng(1)
+        kick = select_kick(energy, kind, rng)
+
+        def endpoint(x):
+            q = rng.standard_normal() if dim == 1 else rng.standard_normal(dim)
+            x = x if dim == 1 else x.copy()
+            return leapfrog(x, q, kick, lf.epsilon, lf.steps)[0]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = np.array([endpoint(x) for x in starts])
+        pvalue = kstest(ends.ravel(), lambda t: gg_cdf(t, params)).pvalue
+        assert pvalue < INVARIANCE_P_FLOOR, (kind, p, dim, pvalue)
 
 
 _KICK_ENERGIES = {
@@ -457,11 +463,18 @@ def _kind_options(kind, epsilon=0.2):
      for d in (1, 4)]
     + [("nshmc1", quad_l1_energy(2.0, 0.5), d) for d in (1, 4)]
     + [(k, gg_energy(GGParams(1.3, 1.5)), d) for k in ("rwmh", "indmh")
-       for d in (1, 4)],
+       for d in (1, 4)]
+    # One coordinate: run_chain runs a float, the reference a 1-vector.  At
+    # gamma 1.3 nshmc1 accepts every Gaussian proposal, so it takes 0.3.
+    + [(k, gg_energy(GGParams(1.3, p)), 1) for p in (1.0, 2.0) for k in ("rwmh", "indmh")]
+    + [("nshmc1", gg_energy(GGParams(g, p)), 1) for g, p in ((1.3, 1.0), (0.3, 2.0))]
+    + [("nshmc2", gg_energy(GGParams(1.3, p)), 1) for p in (2.0, 3.0)],
 )
 def test_run_chain_matches_reference_chain(kind, energy, dim):
     # Same arithmetic and same draws: equal bit for bit, including the
-    # subgradient draws at the origin where every nshmc1 chain starts.
+    # subgradient draws at the origin where every nshmc1 chain starts.  At
+    # d = 1 this holds gg_energy's float forms (p = 1 and 2) and the numpy
+    # fallback on a float (p = 1.2, 1.5, 3 and quad_l1) to the array bits.
     cfg = SamplerConfig(kind=kind, iterations=200, seed=9, **_kind_options(kind))
     rec = run_chain(np.zeros(dim), energy, cfg)
     samples, accepted, errors = _reference_chain(np.zeros(dim), energy, cfg)
@@ -539,6 +552,16 @@ def test_diverging_trajectory_is_a_rejection():
     with np.errstate(over="ignore", invalid="ignore"):
         x, _, ok, error = step(np.ones(2), float(cubic.value(np.ones(2))))
     assert not ok and np.array_equal(x, np.ones(2)) and error == math.inf
+    # The same on one coordinate, which runs on a Python float: the overflow
+    # gives inf, then NaN, and no OverflowError; the p = 1 subgradient's
+    # ValueError at a non-finite position ends the trajectory.
+    for kind in ("nshmc1", "nshmc2"):
+        for p in (1.0, 2.0):
+            cfg = dataclasses.replace(cfg, kind=kind)
+            rec = run_chain(np.zeros(1), gg_energy(GGParams(1.0, p)), cfg)
+            assert rec.divergent.all() and not rec.accepted.any(), (kind, p)
+            assert (rec.energy_error == math.inf).all(), (kind, p)
+            assert np.array_equal(rec.samples, np.zeros((20, 1)))
 
 
 @pytest.mark.filterwarnings("error")
