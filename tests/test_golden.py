@@ -4,8 +4,8 @@ Each CLI run below goes in-process through ``cli.main``, and every file it
 writes except ``manifest.json`` (which records a wall time) is hashed.
 Together the runs cover every sampler kind, p in {1, 1.5, 2, 3}, the a|x| +
 bx^2 target, the three experiments and ``sample``, and one-coordinate
-chains on gg at p = 1 and 2 (exp1, and nshmc1's draws at the origin) and on
-the a|x| + bx^2 target.  The Gibbs denoiser's
+chains on gg at p = 1, 1.5 and 2 (exp1, and nshmc1's draws at the origin)
+and on the a|x| + bx^2 target with both HMC kinds.  The Gibbs denoiser's
 opt-in noise-variance draws, which no command makes, are hashed through
 the estimate and record that ``gibbs_denoise_run`` returns.
 
@@ -37,6 +37,10 @@ GOLDEN = {
     "exp1 --p 2 -n 1000": {
         "acf.csv": "76276fc1d3bad82a",
         "mse_curve.csv": "d1dcd4b6033ac695",
+    },
+    "exp1 --p 1.5 -n 1000": {
+        "acf.csv": "5ee06a5dca8bf307",
+        "mse_curve.csv": "dcca0bf8aa34bcfe",
     },
     "exp2 --dim 3 -n 600": {
         "convergence.csv": "279f08bdaf770973",
@@ -71,6 +75,9 @@ GOLDEN = {
     },
     "sample --target quadl1:a=1,b=0.5 --sampler nshmc2:eps=0.3,lf=10 --dim 1 -n 300": {
         "chain.csv": "60c03a8ac34efc64",
+    },
+    "sample --target quadl1:a=1,b=0.5 --sampler nshmc1:eps=0.3,lf=10 --dim 1 -n 300": {
+        "chain.csv": "7acab323e4e0a039",
     },
 }
 
