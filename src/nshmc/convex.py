@@ -181,7 +181,7 @@ def prox_power(x, gamma: float, p: float):
     if p == 2.0:
         out = gamma * arr / (gamma + 2.0)
     elif p == 1.5:
-        s = _sqrt_prox_p32(np.abs(arr), gamma)
+        s = _sqrt_prox_p32(arr, gamma)
         out = np.copysign(s * s, arr)
     else:
         out = np.copysign(_power_roots(np.abs(arr), gamma, p), arr)
@@ -201,7 +201,7 @@ def power_residual(x, gamma: float, p: float):
         p = 1    clip(x, -1/gamma, 1/gamma),
         p = 2    2 x / (gamma + 2),
         p = 3/2  (3 / (2 gamma)) * sign(x) * s, with s = sqrt(u) from the
-                 closed form of ``prox_power``,
+                 closed form of ``prox_power`` (``_sqrt_prox_p32``),
         other p  (p / gamma) * sign(x) * u**(p - 1) from the Newton root u.
 
     Unlike the subtraction this stays accurate where the residual is far
@@ -216,17 +216,21 @@ def power_residual(x, gamma: float, p: float):
         return np.minimum(np.maximum(x, -t), t)
     if p == 2.0:
         return 2.0 * x / (gamma + 2.0)
-    a = np.abs(x)
     if p == 1.5:
-        return np.copysign((1.5 / gamma) * _sqrt_prox_p32(a, gamma), x)
+        return (1.5 / gamma) * _sqrt_prox_p32(x, gamma)
+    a = np.abs(x)
     return np.copysign((p / gamma) * _power_roots(a, gamma, p) ** (p - 1.0), x)
 
 
-def _sqrt_prox_p32(a, gamma: float):
-    """s = sqrt(|prox_power(x, gamma, 3/2)|) for a = |x|."""
+def _sqrt_prox_p32(x, gamma: float):
+    """sign(x) * s with s = sqrt(|prox_power(x, gamma, 3/2)|).
+
+    s = |x| / (k + hypot(k, sqrt|x|)); dividing x itself carries its sign,
+    zero's included, with no copysign pass.  No ``out=``, so a float works.
+    """
     # sqrt(c**2 + 4|x|) / 2 = hypot(c / 2, sqrt(|x|)), which cannot overflow.
     k = 0.75 / gamma
-    return a / (k + np.hypot(k, np.sqrt(a)))
+    return x / (k + np.hypot(k, np.sqrt(np.abs(x))))
 
 
 def _power_roots(a, gamma: float, p: float) -> np.ndarray:

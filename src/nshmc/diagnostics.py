@@ -58,21 +58,39 @@ class HistogramSpec:
         return 0.5 * (edges[:-1] + edges[1:])
 
 
+# The most count cells in one block of prefix heights.
+_BLOCK_CELLS = 2**16
+
+
 def prefix_heights(samples, ends, spec: HistogramSpec) -> Iterator[np.ndarray]:
     """Density-normalized histogram heights of samples[:t] for each t in ends.
 
     samples has shape (n,) or (n, d) and is binned on spec's grid along every
     axis; each yield is count / (t * width**d) over the bins**d cells in C
-    order.  ends must increase strictly within [1, n].
+    order.  ends must increase strictly within [1, n].  The heights are
+    computed in blocks of ends (see ``_prefix_height_blocks``), and each
+    yield is one row of its block.
+    """
+    for block in _prefix_height_blocks(samples, ends, spec):
+        yield from block
+
+
+def _prefix_height_blocks(samples, ends, spec: HistogramSpec) -> Iterator[np.ndarray]:
+    """``prefix_heights`` as 2-D blocks: one row per end, one column per cell.
 
     Every coordinate is binned once, by one ``searchsorted(edges, x,
     side="right")`` over the whole chain with edges = linspace(lo, hi,
     bins + 1): bin k holds [e_k, e_k+1), a value equal to hi goes to the
     last bin, and a sample with any coordinate outside [lo, hi] (±inf and
     NaN included) is dropped but still counts in t.  This is
-    ``np.histogramdd``'s rule, and the counts match it bit for bit.  Each
-    segment between consecutive ends then adds one ``bincount`` of its cell
-    indices to a single count vector, so memory stays O(n + bins**d).
+    ``np.histogramdd``'s rule, and the counts match it bit for bit.  A
+    block then takes one ``bincount`` of segment * (cells + 1) + cell over
+    its samples, where segment numbers the stretch between consecutive
+    ends; a ``cumsum`` along the ends, plus the running counts of the ends
+    before the block, gives every row's exact integer counts.  A block has
+    at most max(1, 2**16 // (cells + 1)) rows: 1285 at 50 bins, 15 on an
+    8**4 grid, and one end at a time from 2**15 cells up.  Memory
+    therefore stays O(n + 2**16 + cells) however many ends there are.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
@@ -91,10 +109,21 @@ def prefix_heights(samples, ends, spec: HistogramSpec) -> Iterator[np.ndarray]:
         flat = flat * bins + idx[:, j]
     # Samples outside the range count in the spare cell past the last one.
     flat[((idx < 0) | (idx >= bins)).any(axis=1)] = cells
-    counts = np.zeros(cells)
-    for start, t in zip([0, *ends], ends):
-        counts += np.bincount(flat[start:t], minlength=cells + 1)[:cells]
-        yield counts / (t * spec.width**dim)
+    ends = np.asarray(ends)
+    rows = max(1, _BLOCK_CELLS // (cells + 1))
+    volume = spec.width**dim
+    counts = np.zeros(cells + 1, dtype=np.int64)
+    start = 0
+    for b in range(0, len(ends), rows):
+        block_ends = ends[b : b + rows]
+        m = len(block_ends)
+        segment = np.repeat(np.arange(m), np.diff(block_ends, prepend=start))
+        keys = segment * (cells + 1) + flat[start : block_ends[-1]]
+        block = np.bincount(keys, minlength=m * (cells + 1)).reshape(m, cells + 1)
+        np.cumsum(block, axis=0, out=block)
+        block += counts
+        counts, start = block[-1], block_ends[-1]
+        yield block[:, :cells] / (block_ends * volume)[:, None]
 
 
 def histogram_mse(

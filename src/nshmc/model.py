@@ -111,9 +111,10 @@ class PotentialEnergy:
     scalar that comes back.  numpy ufuncs on a float give the bits they
     give on a one-element array, but ``**`` on a numpy scalar calls the C
     library's pow, whose last bits differ, so a handle writes powers with
-    ``np.power``.  ``gg_energy`` at p = 1 and 2 answers a float in plain
-    Python with the same bits (abs, comparisons and arithmetic; no ``**``,
-    which would raise OverflowError); every other energy runs numpy on it.
+    ``np.power``.  ``gg_energy`` at p = 1 and 2, and ``quad_l1_energy``'s
+    ``subgrad``, answer a float in plain Python with the same bits (abs,
+    comparisons and arithmetic; no ``**``, which would raise
+    OverflowError); every other handle runs numpy on it.
     """
 
     value: Callable[[np.ndarray], float]
@@ -236,8 +237,7 @@ def quad_l1_energy(a: float, b: float) -> PotentialEnergy:
         return float(a * l1 + b * np.add.reduce(x * x, axis=None))
 
     def subgrad(x, rng):
-        x = np.asarray(x, dtype=float)
-        return a * np.asarray(subgrad_abs_sample(x, rng)) + 2.0 * b * x
+        return a * subgrad_abs_sample(x, rng) + 2.0 * b * x
 
     t = 1.0 + 2.0 * b
 

@@ -47,6 +47,10 @@ SAMPLER_KINDS = ("nshmc1", "nshmc2", "rwmh", "indmh")
 # The energy handle each HMC kind kicks with.
 _KICKS = {"nshmc1": "subgrad", "nshmc2": "residual"}
 
+# run_chain lists at most this many transitions before it moves them into
+# the record's arrays: one conversion per block, not one store per row.
+_RECORD_ROWS = 4096
+
 # An HMC trajectory whose energy error exceeds this, or is not finite, has
 # diverged (the threshold Stan uses; Betancourt 2017, section 6).
 DIVERGENCE_THRESHOLD = 1000.0
@@ -182,6 +186,10 @@ def transition(energy: PotentialEnergy, config: SamplerConfig, rng):
     raises ValueError.  The energy error is H(proposal) - H(current), with
     H = E for the Metropolis kinds.
     ``run_chain`` calls it under ``np.errstate``, so overflow does not warn.
+    No transition writes into a state, x or the one it returns, after it
+    returns: the proposals build new arrays, and ``leapfrog`` overwrites
+    only the copy of x that an HMC proposal makes.  ``run_chain`` relies on
+    this when it records the returned states themselves, not copies.
     """
     std = config.proposal_std
     if config.kind in _KICKS:
@@ -250,6 +258,11 @@ def run_chain(
     energy.  A diverged trajectory or an overflowing proposal (infinite or
     NaN energy) is rejected instead of failing.  HMC kinds record each
     transition's energy error.
+    Every kind and size runs one loop.  It appends each transition's
+    (state, accepted, energy error) to a list, the state uncopied, and
+    moves the list into the record's arrays every ``_RECORD_ROWS``
+    iterations, so the list's rows (a few hundred bytes each at small d)
+    never outgrow one block.
     """
     rng = np.random.default_rng(config.seed)
     x = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
@@ -268,9 +281,15 @@ def run_chain(
     accepted = np.empty(n_iter, dtype=bool)
     energy_error = np.empty(n_iter)
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(n_iter):
-            x, e, accepted[r], energy_error[r] = step(x, e)
-            samples[r] = x
+        for start in range(0, n_iter, _RECORD_ROWS):
+            rows = []
+            record = rows.append
+            for _ in range(min(_RECORD_ROWS, n_iter - start)):
+                x, e, ok, error = step(x, e)
+                record((x, ok, error))
+            stop = start + len(rows)
+            xs, accepted[start:stop], energy_error[start:stop] = zip(*rows)
+            samples[start:stop] = np.array(xs).reshape(len(rows), -1)
     return ChainRecord(
         samples=samples,
         accepted=accepted,

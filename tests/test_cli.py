@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,39 @@ def test_mse_curve_matches_per_prefix_reference(p, dim):
             ]
         )
     assert np.array_equal(cli._mse_curve(samples, _UNEVEN_ENDS, target, spec), want)
+
+
+def test_mse_curve_matches_per_prefix_reference_across_blocks():
+    # 8**4 cells take 15 ends per block, so exp2's 200 checkpoints of a
+    # 1000-step chain span 14 blocks, each carrying the counts of the last.
+    params = GGParams(gamma=1.0, p=1.5)
+    rng = np.random.default_rng(11)
+    samples = gg_direct_sample(params, rng, size=(1000, 4))
+    spec = HistogramSpec(bins=8)
+    target = _exp2_reference_heights(gg_direct_sample(params, rng, size=(5000, 4)), spec)
+    ends = cli._checkpoints(1000)
+    assert len(ends) == 200
+    want = [
+        np.mean((_exp2_reference_heights(samples[:t], spec) - target) ** 2)
+        for t in ends
+    ]
+    assert np.array_equal(cli._mse_curve(samples, ends, target, spec), want)
+
+
+def test_mse_curve_memory_stays_near_one_height_vector():
+    # At the 2**20-cell limit each end goes alone: 20 ends as one dense
+    # (ends x cells) block would take 160 MB.
+    spec = HistogramSpec(bins=32)
+    samples = np.random.default_rng(0).standard_normal((2000, 4))
+    target = np.zeros(spec.bins**4)
+    tracemalloc.start()
+    try:
+        curve = cli._mse_curve(samples, range(100, 2001, 100), target, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.shape == (20,)
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])

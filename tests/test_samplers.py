@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from nshmc import samplers
 from nshmc.denoise import denoise_energy
 from nshmc.diagnostics import acf
 from nshmc.integrators import LeapfrogConfig, leapfrog
@@ -412,6 +413,42 @@ def test_hmc_chain_records_energy_error_and_divergences():
 
     mh = run_chain(np.zeros(1), LAPLACE, SamplerConfig(kind="rwmh", iterations=5))
     assert mh.energy_error is None and mh.divergent is None
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_step_never_writes_into_a_state(kind, dim):
+    # run_chain records the states that step returns without copying them,
+    # so a step must leave its input, and every state it returned, as it was.
+    cfg = SamplerConfig(kind=kind, iterations=1, seed=3, **_kind_options(kind))
+    step = transition(LAPLACE, cfg, np.random.default_rng(3))
+    x = 0.0 if dim == 1 else np.zeros(dim)
+    e = LAPLACE.value(x)
+    seen, moves = [], 0
+    for _ in range(100):
+        before = x if dim == 1 else x.copy()
+        xp, e, accepted, _ = step(x, e)
+        assert np.array_equal(x, before)
+        moves += accepted
+        seen.append((xp, xp if dim == 1 else xp.copy()))
+        x = xp
+    assert 0 < moves < 100
+    for state, copy in seen:
+        assert np.array_equal(state, copy)
+
+
+def test_run_chain_record_blocks_join_seamlessly(monkeypatch):
+    # The list of recorded transitions is moved into the arrays every
+    # _RECORD_ROWS iterations; a block of 7 gives the same record as one.
+    cfg = SamplerConfig(kind="nshmc2", iterations=200, seed=4, **_kind_options("nshmc2"))
+    for dim in (1, 3):
+        whole = run_chain(np.zeros(dim), LAPLACE, cfg)
+        monkeypatch.setattr(samplers, "_RECORD_ROWS", 7)
+        blocks = run_chain(np.zeros(dim), LAPLACE, cfg)
+        monkeypatch.undo()
+        assert np.array_equal(blocks.samples, whole.samples)
+        assert np.array_equal(blocks.accepted, whole.accepted)
+        assert np.array_equal(blocks.energy_error, whole.energy_error)
 
 
 def _reference_chain(initial, energy, config):
