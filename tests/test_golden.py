@@ -4,8 +4,10 @@ Each CLI run below goes in-process through ``cli.main``, and every file it
 writes except ``manifest.json`` (which records a wall time) is hashed.
 Together the runs cover every sampler kind, p in {1, 1.5, 2, 3}, the a|x| +
 bx^2 target, the three experiments and ``sample``, and one-coordinate
-chains on gg at p = 1, 1.5 and 2 (exp1, and nshmc1's draws at the origin)
-and on the a|x| + bx^2 target with both HMC kinds.  The Gibbs denoiser's
+chains on gg at p = 1, 1.5, 2 and 3 (exp1, nshmc1's draws at the origin,
+and the general-p residual on a float) and on the a|x| + bx^2 target with
+both HMC kinds.  The general-p residual also runs on an array (p = 3 at
+d = 3), and the benchmark's chain (p = 1.5 at d = 16) is hashed as is.  The Gibbs denoiser's
 opt-in noise-variance draws, which no command makes, are hashed through
 the estimate and record that ``gibbs_denoise_run`` returns.
 
@@ -78,6 +80,15 @@ GOLDEN = {
     },
     "sample --target quadl1:a=1,b=0.5 --sampler nshmc1:eps=0.3,lf=10 --dim 1 -n 300": {
         "chain.csv": "7acab323e4e0a039",
+    },
+    "sample --target gg:p=1.5 --sampler nshmc2:eps=0.05,lf=10 --dim 16 -n 500 --burn-in 200": {
+        "chain.csv": "ae8ef61a261f434c",
+    },
+    "sample --target gg:p=3 --sampler nshmc2:eps=0.3,lf=10 --dim 3 -n 300": {
+        "chain.csv": "5150ec4902e23706",
+    },
+    "sample --target gg:p=3 --sampler nshmc2:eps=0.3,lf=10 --dim 1 -n 300": {
+        "chain.csv": "d95fb23ef89f7cf9",
     },
 }
 
