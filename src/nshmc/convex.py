@@ -181,7 +181,7 @@ def prox_power(x, gamma: float, p: float):
     if p == 2.0:
         out = gamma * arr / (gamma + 2.0)
     elif p == 1.5:
-        s = _sqrt_prox_p32(arr, gamma)
+        s = _sqrt_prox_p32(arr, 0.75 / gamma)
         out = np.copysign(s * s, arr)
     else:
         out = np.copysign(_power_roots(np.abs(arr), gamma, p), arr)
@@ -195,14 +195,9 @@ def power_residual(x, gamma: float, p: float):
 
     The residual is the gradient of the Moreau envelope of |u|**p / gamma
     (Durmus, Moulines & Pereyra 2018, section 3) and the kick of the
-    proximal leapfrog.  By the stationarity equation it equals
-    (p / gamma) * sign(x) * u**(p - 1), with u the magnitude of the prox:
-
-        p = 1    clip(x, -1/gamma, 1/gamma),
-        p = 2    2 x / (gamma + 2),
-        p = 3/2  (3 / (2 gamma)) * sign(x) * s, with s = sqrt(u) from the
-                 closed form of ``prox_power`` (``_sqrt_prox_p32``),
-        other p  (p / gamma) * sign(x) * u**(p - 1) from the Newton root u.
+    proximal leapfrog.  This runs the array path of the kick that
+    ``_power_kick(gamma, p)`` builds, whose docstring gives the formulas;
+    an energy builds the kick once and calls it directly.
 
     Unlike the subtraction this stays accurate where the residual is far
     below |x|: at p = 1 and |x| = 1e300, x - prox(x) is 0, not 1 / gamma.
@@ -210,26 +205,77 @@ def power_residual(x, gamma: float, p: float):
     are taken as valid, and a non-finite x raises no error.  Returns an
     array.
     """
-    x = np.asarray(x, dtype=float)
+    return _power_kick(gamma, p)(np.asarray(x, dtype=float))
+
+
+def _power_kick(gamma: float, p: float):
+    """The kick x -> x - prox_power(x, gamma, p), built once for gamma and p.
+
+    By the stationarity equation the residual is (p / gamma) * sign(x) *
+    u**(p - 1), with u the magnitude of the prox:
+
+        p = 1    clip(x, -1/gamma, 1/gamma),
+        p = 2    2 x / (gamma + 2),
+        p = 3/2  (3 / (2 gamma)) * sign(x) * s, with s = sqrt(u) from the
+                 closed form of ``prox_power`` (``_sqrt_prox_p32``),
+        other p  (p / gamma) * sign(x) * u**(p - 1) from the Newton root u.
+
+    The constants are fixed here.  A float (or numpy float scalar) gets
+    them as Python floats, and at p = 1 and 2 a Python float back; an
+    array gets them as 0-d float64 arrays, the same bits without numpy's
+    per-call conversion of a Python scalar (NEP 50).
+    """
+    c = p / gamma
     if p == 1.0:
         t = 1.0 / gamma
-        return np.minimum(np.maximum(x, -t), t)
-    if p == 2.0:
-        return 2.0 * x / (gamma + 2.0)
-    if p == 1.5:
-        return (1.5 / gamma) * _sqrt_prox_p32(x, gamma)
-    a = np.abs(x)
-    return np.copysign((p / gamma) * _power_roots(a, gamma, p) ** (p - 1.0), x)
+        t_arr, neg_t_arr = np.array(t), np.array(-t)
+
+        def kick(x):
+            if isinstance(x, float):
+                # np.clip's value, NaN included, without a call.
+                return t if x > t else -t if x < -t else x
+            return np.minimum(np.maximum(x, neg_t_arr), t_arr)
+
+    elif p == 2.0:
+        g2 = gamma + 2.0
+        two_arr, g2_arr = np.array(2.0), np.array(g2)
+
+        def kick(x):
+            if isinstance(x, float):
+                return 2.0 * x / g2
+            return two_arr * x / g2_arr
+
+    elif p == 1.5:
+        k = 0.75 / gamma
+        c_arr, k_arr = np.array(c), np.array(k)
+
+        def kick(x):
+            if isinstance(x, float):
+                return c * _sqrt_prox_p32(x, k)
+            # _sqrt_prox_p32 written out: the call costs 2% of a d = 16 chain.
+            return c_arr * (x / (k_arr + np.hypot(k_arr, np.sqrt(np.abs(x)))))
+
+    else:
+        pm1 = p - 1.0
+        c_arr, pm1_arr = np.array(c), np.array(pm1)
+
+        def kick(x):
+            if isinstance(x, float):
+                u = _power_stationary_point(abs(float(x)), gamma, p)
+                return np.copysign(c * np.power(u, pm1), x)
+            u = _power_roots(np.abs(x), gamma, p)
+            return np.copysign(c_arr * np.power(u, pm1_arr), x)
+
+    return kick
 
 
-def _sqrt_prox_p32(x, gamma: float):
-    """sign(x) * s with s = sqrt(|prox_power(x, gamma, 3/2)|).
+def _sqrt_prox_p32(x, k):
+    """sign(x) * s with s = sqrt(|prox_power(x, gamma, 3/2)|), k = 0.75 / gamma.
 
     s = |x| / (k + hypot(k, sqrt|x|)); dividing x itself carries its sign,
     zero's included, with no copysign pass.  No ``out=``, so a float works.
     """
     # sqrt(c**2 + 4|x|) / 2 = hypot(c / 2, sqrt(|x|)), which cannot overflow.
-    k = 0.75 / gamma
     return x / (k + np.hypot(k, np.sqrt(np.abs(x))))
 
 

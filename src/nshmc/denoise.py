@@ -150,8 +150,7 @@ def denoise_energy(
         d = x - c
         d *= k
         s = x - d
-        np.minimum(s, t, out=s)
-        np.maximum(s, -t, out=s)
+        np.clip(s, -t, t, out=s)
         d += s
         return d
 

@@ -55,12 +55,18 @@ def leapfrog(x, q, kick, epsilon: float, steps: int):
     """Run ``steps`` leapfrog steps from (x, q), overwriting both float arrays.
 
     Returns the final (x, q).  x and q may also be Python floats, which the
-    same code runs with the same arithmetic and cannot overwrite.  A kick
+    same code runs with the same arithmetic and cannot overwrite.  On
+    arrays eps and eps/2 are 0-d float64 arrays, never on floats.  A kick
     that raises ValueError at a position that is no longer finite ends the
     trajectory there, and the diverged state is returned for the caller's
     Metropolis test to reject.
     """
     half = 0.5 * epsilon
+    if not isinstance(x, float):
+        # 0-d arrays give the same bits without numpy's per-call conversion
+        # of a Python scalar (NEP 50); times a float they would give a
+        # slower numpy scalar, so a float state keeps the floats.
+        half, epsilon = np.array(half), np.array(epsilon)
     half_kick = half * kick(x)
     try:
         for _ in range(steps):

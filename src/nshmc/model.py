@@ -27,7 +27,7 @@ import numpy as np
 from .convex import (
     _check_power_params,
     _check_quad_l1_params,
-    power_residual,
+    _power_kick,
     subgrad_abs_sample,
 )
 # bench/tracing.py hooks this name; no energy calls it, so its span counts nothing.
@@ -115,6 +115,12 @@ class PotentialEnergy:
     ``subgrad``, answer a float in plain Python with the same bits (abs,
     comparisons and arithmetic; no ``**``, which would raise
     OverflowError); every other handle runs numpy on it.
+
+    A handle fixes its constants when the energy is built.  On the array
+    path ``gg_energy`` holds them as 0-d float64 arrays, which give a
+    ufunc the bits of the float without numpy's per-call conversion of a
+    Python scalar (NEP 50).  They never appear on the float path: a 0-d
+    array times a float is a numpy scalar, and a slower chain.
     """
 
     value: Callable[[np.ndarray], float]
@@ -161,20 +167,19 @@ def gg_cdf(x, params: GGParams):
 def gg_energy(params: GGParams) -> PotentialEnergy:
     """Potential energy E(x) = sum_i |x_i|**p / gamma of an i.i.d. GG vector.
 
-    The prox kick ``residual`` is ``power_residual``: x - prox(x) for the
-    coordinatewise proximity operator, computed by one array call without
-    the subtraction.  It clips x to [-1/gamma, 1/gamma] for p = 1, has
-    closed forms for p = 3/2 and 2 (Chaux, Combettes, Pesquet & Wajs 2007)
-    and takes a per-coordinate Newton root for other exponents.  For p = 1
-    the subgradient sampler draws uniformly from [-1/gamma, 1/gamma] at
-    zero coordinates; for p > 1 the subdifferential is the gradient
-    singleton.
+    The prox kick ``residual`` is the closure that ``convex._power_kick``
+    builds for gamma and p: x - prox(x) for the coordinatewise proximity
+    operator, computed without the subtraction.  It clips x to
+    [-1/gamma, 1/gamma] for p = 1, has closed forms for p = 3/2 and 2
+    (Chaux, Combettes, Pesquet & Wajs 2007) and takes a per-coordinate
+    Newton root for other exponents.  For p = 1 the subgradient sampler
+    draws uniformly from [-1/gamma, 1/gamma] at zero coordinates; for
+    p > 1 the subdifferential is the gradient singleton.
     """
     gamma, p = params.gamma, params.p
+    residual = _power_kick(gamma, p)
 
     if p == 1.0:
-        t = 1.0 / gamma
-
         # |x| alone, not |x| ** 1, which costs a power per coordinate.
         # np.add.reduce is np.sum's pairwise sum without np.sum's wrapper.
         def value(x):
@@ -185,36 +190,23 @@ def gg_energy(params: GGParams) -> PotentialEnergy:
         def subgrad(x, rng):
             return subgrad_abs_sample(x, rng) / gamma
 
-        def residual(x):
-            if isinstance(x, float):
-                # np.clip's value, NaN included, without a call.
-                return t if x > t else -t if x < -t else x
-            return power_residual(x, gamma, p)
-
         return PotentialEnergy(value=value, subgrad=subgrad, residual=residual)
 
+    p_arr = np.array(p)
+
+    # The sum of one term is the term, so a float skips the reduce.
     def value(x):
-        if p == 2.0 and isinstance(x, float):
-            return x * x / gamma
-        return float(np.add.reduce(np.power(np.abs(x), p), axis=None)) / gamma
+        if isinstance(x, float):
+            if p == 2.0:
+                return x * x / gamma
+            return float(np.power(abs(x), p)) / gamma
+        return float(np.add.reduce(np.power(np.abs(x), p_arr), axis=None)) / gamma
 
     # For p > 1 the subdifferential is a singleton everywhere, so the
     # sampler is deterministic and the rng goes unused.
     def subgrad(x, rng):
         x = np.asarray(x, dtype=float)
         return (p / gamma) * np.sign(x) * np.power(np.abs(x), p - 1.0)
-
-    if p == 2.0:
-        g2 = gamma + 2.0
-
-        def residual(x):
-            # power_residual's p = 2 form, which serves floats and arrays.
-            return 2.0 * x / g2
-
-    else:
-
-        def residual(x):
-            return power_residual(x, gamma, p)
 
     return PotentialEnergy(value=value, subgrad=subgrad, residual=residual)
 

@@ -113,6 +113,29 @@ def test_zero_step_size_is_identity():
         assert np.array_equal(q, q0)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_array_trajectory_is_its_float_trajectories_bitwise(p):
+    # An array state runs with 0-d float64 constants and a float state with
+    # Python floats; coordinate by coordinate the bits must agree, for the
+    # prox kick and, where it draws nothing, the subgradient kick.  A float
+    # state stays a Python float where the kick answers in Python (p = 1, 2).
+    def bits(v):
+        return np.float64(v).tobytes()
+
+    energy = gg_energy(GGParams(0.7, p))
+    rng = np.random.default_rng(int(10 * p))
+    x0 = np.concatenate([[0.0, -0.0], rng.standard_normal(14) * 2.0])
+    q0 = rng.standard_normal(16)
+    for kind in ("nshmc2", "nshmc1") if p > 1.0 else ("nshmc2",):
+        kick = select_kick(energy, kind, NO_DRAWS)
+        x, q = leapfrog(x0.copy(), q0.copy(), kick, 0.3, 10)
+        for j in range(16):
+            xj, qj = leapfrog(float(x0[j]), float(q0[j]), kick, 0.3, 10)
+            assert (bits(xj), bits(qj)) == (bits(x[j]), bits(q[j])), (kind, j)
+            if kind == "nshmc2" and p in (1.0, 2.0):
+                assert type(xj) is float and type(qj) is float
+
+
 # ------------------------------------------------------------ scheme agreement
 
 

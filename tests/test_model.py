@@ -248,6 +248,19 @@ def test_gg_energy_on_a_float_matches_a_one_element_array(p):
             assert bits(got) == bits(energy.subgrad(arr, np.random.default_rng(i))[0]), x
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_gg_energy_answers_a_float_with_a_float(p):
+    # A float is answered with Python-float constants: a 0-d array constant
+    # would make the answer a numpy scalar and slow every one-coordinate
+    # chain without changing a bit.  The residual answers in plain Python
+    # at p = 1 and 2 only.
+    energy = gg_energy(GGParams(0.7, p))
+    for x in (0.0, -0.0, 0.3, -2.5, 1e100):
+        assert type(energy.value(x)) is float
+        if p in (1.0, 2.0):
+            assert type(energy.residual(x)) is float
+
+
 def test_gg_energy_subgrad_scaling():
     # Subgradient of E/gamma at x != 0 equals sign(x)/gamma exactly.
     rng = np.random.default_rng(0)
