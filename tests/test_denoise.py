@@ -16,7 +16,7 @@ from nshmc.denoise import (
     synthetic_blocks,
 )
 from nshmc.diagnostics import snr
-from nshmc.integrators import LeapfrogConfig
+from nshmc.integrators import LeapfrogConfig, leapfrog
 from nshmc.samplers import SamplerConfig
 from nshmc.wavelet import WaveletOperator
 
@@ -315,6 +315,69 @@ def test_sweep_matches_two_kick_reference_bitwise(
     assert np.array_equal(rec.samples[:, 0], ref_rec.samples[:, 0])
     assert np.array_equal(rec.samples[:, 1], ref_rec.samples[:, 1])
     assert 0.0 < rec.acceptance_rate < 1.0
+
+
+def _allocating_sweep(x, c, sigma2, lam, config, rng):
+    # The sweep written with a fresh array for every intermediate: the
+    # kick k (x - c) + clip(x - k (x - c), -t, t), a trajectory on copies
+    # of x and q0, then h0 and h1 after it.
+    alpha = 1.0 / sigma2
+    k = alpha / (1.0 + alpha)
+    t = 1.0 / (lam * (1.0 + alpha))
+
+    def kick(v):
+        if config.kind == "nshmc1":
+            return np.asarray(subgrad_abs_sample(v, rng)) / lam + alpha * (v - c)
+        d = v - c
+        d *= k
+        s = v - d
+        np.clip(s, -t, t, out=s)
+        d += s
+        return d
+
+    def coord_energy(v):
+        return np.abs(v) / lam + 0.5 * alpha * (v - c) ** 2
+
+    lf = config.leapfrog
+    q0 = rng.standard_normal(x.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, q = leapfrog(x.copy(), q0.copy(), kick, lf.epsilon, lf.steps)
+        u = rng.random(x.size)
+        if not np.isfinite(v).all():
+            return x, 0.0
+        h0 = coord_energy(x) + 0.5 * q0 * q0
+        h1 = coord_energy(v) + 0.5 * q * q
+        ok = np.log(u) < h0 - h1
+    return np.where(ok, v, x), float(ok.mean())
+
+
+@pytest.mark.parametrize("kind", ["nshmc1", "nshmc2"])
+@pytest.mark.parametrize(
+    "sigma2, lam, epsilon",
+    [
+        (SIGMA2, 6.0, 0.5),
+        (2.0, 0.1, 1.9),
+        (1e-150, 3.0, 0.5),
+        (1e150, 1e3, 0.5),
+        (SIGMA2, 6.0, 1.503e16),
+        (SIGMA2, 6.0, 1e200),
+    ],
+)
+def test_sweep_matches_allocating_sweep_bitwise(kind, sigma2, lam, epsilon):
+    # Same draws, same bits: the returned coefficients, the accepted
+    # fraction, and the generator's state afterwards.
+    _, noisy = _noisy_blocks(32, 5)
+    op = WaveletOperator(32, 32, 3)
+    fy = op.forward(noisy)
+    x = prox_soft_threshold(fy, 20.0)  # exact zeros for nshmc1's draws
+    config = _config(1, 0, 0, kind=kind, epsilon=epsilon)
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, frac = nshmc.denoise._coordinate_hmc_sweep(x, fy, sigma2, lam, config, rng)
+        want, ref_frac = _allocating_sweep(x, fy, sigma2, lam, config, ref_rng)
+        assert got.tobytes() == want.tobytes()
+        assert frac == ref_frac
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_prox_sweep_shares_kicks_between_steps(monkeypatch):

@@ -8,8 +8,9 @@ chains on gg at p = 1, 1.5, 2 and 3 (exp1, nshmc1's draws at the origin,
 and the general-p residual on a float) and on the a|x| + bx^2 target with
 both HMC kinds.  The general-p residual also runs on an array (p = 3 at
 d = 3), and the benchmark's chain (p = 1.5 at d = 16) is hashed as is.  The Gibbs denoiser's
-opt-in noise-variance draws, which no command makes, are hashed through
-the estimate and record that ``gibbs_denoise_run`` returns.
+opt-in noise-variance draws, its subgradient kernel and sweeps whose
+trajectories overflow, which no command makes, are hashed through the
+estimate and record that ``gibbs_denoise_run`` returns.
 
 The digests assume numpy 2.4.6 on an x86_64 CPU whose SIMD paths give the
 bits that this table was computed with; another numpy or CPU may move the
@@ -24,9 +25,10 @@ import hashlib
 import numpy as np
 import pytest
 
+import nshmc.denoise
 from nshmc.cli import main
 from nshmc.denoise import DenoiseModel, gibbs_denoise_run, synthetic_blocks
-from nshmc.integrators import LeapfrogConfig
+from nshmc.integrators import LeapfrogConfig, leapfrog
 from nshmc.samplers import SamplerConfig
 from nshmc.wavelet import WaveletOperator
 
@@ -118,3 +120,39 @@ def test_denoiser_noise_variance_draws_match_golden_digest():
     assert np.unique(record.samples[:, 0]).size == config.iterations  # sigma2 moves
     data = estimate.tobytes() + record.samples.tobytes() + record.accepted.tobytes()
     assert _digest(data) == "cb426c2b985ffc78"
+
+
+# (kind, eps) -> digest of the estimate and the record of a 20-sweep run on a
+# 32x32 image at the estimated noise variance.  nshmc1 draws its subgradients
+# from the run's stream.  At eps = 1.503e16 some trajectories overflow, and
+# their sweeps are rejected whole; the others end finite and reject every
+# coefficient on infinite or NaN energies.
+DENOISER_GOLDEN = {
+    ("nshmc1", 0.5): "b7c36dd499502c36",
+    ("nshmc2", 1.503e16): "6c6b8756513dc3e4",
+}
+
+
+@pytest.mark.parametrize("kind, epsilon", list(DENOISER_GOLDEN))
+def test_denoiser_kernels_match_golden_digests(monkeypatch, kind, epsilon):
+    finite = []
+
+    def recording_leapfrog(*args):
+        v, q = leapfrog(*args)
+        finite.append(bool(np.isfinite(v).all()))
+        return v, q
+
+    monkeypatch.setattr(nshmc.denoise, "leapfrog", recording_leapfrog)
+    noisy = synthetic_blocks(32) + np.random.default_rng(2).standard_normal((32, 32)) * 40**0.5
+    model = DenoiseModel(noisy, WaveletOperator(32, 32, 3))
+    config = SamplerConfig(
+        kind=kind, iterations=20, burn_in=10, seed=3, leapfrog=LeapfrogConfig(epsilon, 10)
+    )
+    estimate, record = gibbs_denoise_run(model, config)
+    if epsilon > 1.0:
+        assert 0 < finite.count(False) < config.iterations
+        assert np.all(record.accepted == 0.0)
+    else:
+        assert all(finite) and 0.0 < record.acceptance_rate < 1.0
+    data = estimate.tobytes() + record.samples.tobytes() + record.accepted.tobytes()
+    assert _digest(data) == DENOISER_GOLDEN[kind, epsilon]
