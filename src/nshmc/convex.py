@@ -218,7 +218,14 @@ def _power_kick(gamma: float, p: float):
         p = 2    2 x / (gamma + 2),
         p = 3/2  (3 / (2 gamma)) * sign(x) * s, with s = sqrt(u) from the
                  closed form of ``prox_power`` (``_sqrt_prox_p32``),
-        other p  (p / gamma) * sign(x) * u**(p - 1) from the Newton root u.
+        other p  (p / gamma) * sign(x) * u**(p - 1) from the Newton root u,
+                 capped at |x|.
+
+    The true residual |x| - u never exceeds |x|, but the rounded power can,
+    by an ulp where u is below an ulp of |x|, and near the largest double it
+    can overflow (with numpy's overflow warning unless the caller silences
+    it, as ``run_chain`` does); the cap returns |x| there, so a finite x
+    always gets a finite residual.
 
     The constants are fixed here.  A float (or numpy float scalar) gets
     them as Python floats, and at p = 1 and 2 a Python float back; an
@@ -261,10 +268,12 @@ def _power_kick(gamma: float, p: float):
 
         def kick(x):
             if isinstance(x, float):
-                u = _power_stationary_point(abs(float(x)), gamma, p)
-                return np.copysign(c * np.power(u, pm1), x)
-            u = _power_roots(np.abs(x), gamma, p)
-            return np.copysign(c_arr * np.power(u, pm1_arr), x)
+                a = abs(float(x))
+                u = _power_stationary_point(a, gamma, p)
+                return np.copysign(min(c * np.power(u, pm1), a), x)
+            a = np.abs(x)
+            u = _power_roots(a, gamma, p)
+            return np.copysign(np.minimum(c_arr * np.power(u, pm1_arr), a), x)
 
     return kick
 
@@ -311,7 +320,14 @@ def _power_stationary_point(a: float, gamma: float, p: float) -> float:
     w = min(a / lin, (a / nonlin) ** (1.0 / r))
     lo, hi = 0.0, math.inf
     for _ in range(100):
-        h = lin * w + nonlin * w**r - a
+        try:
+            h = lin * w + nonlin * w**r - a
+        except OverflowError:
+            # w**r exceeds the largest double, so h is +inf: w lies above
+            # the root, and bisection takes it back into range.
+            hi = w
+            w = 0.5 * (lo + hi)
+            continue
         if h > 0.0:
             hi = w
         elif h < 0.0:
@@ -328,7 +344,10 @@ def _power_stationary_point(a: float, gamma: float, p: float) -> float:
         return min(w, a)
     # w**r multiplies the rounding error of w by r; once u exceeds a / r,
     # the identity u = a - c * w loses less.
-    u = w**r
+    try:
+        u = w**r
+    except OverflowError:  # u is near the largest double, and above a / r
+        u = math.inf
     if r * u > a:
         u = a - lin * w
     return min(u, a)

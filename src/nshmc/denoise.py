@@ -29,7 +29,11 @@ and s = x - k * (x - Fy),
 
     x - prox(x) = k * (x - Fy) + clip(s, -t, t),
 
-with k and t computed once per sweep.
+with k and t computed once per sweep.  s goes into one scratch array that
+each energy allocates once and no kick returns, and the Metropolis test
+computes H = U + q**2 / 2 in place, H0 before the trajectory, so that the
+drawn momentum itself can run it.  Every step keeps the formula's order of
+operations, so the bits are those of the allocating form.
 """
 
 from __future__ import annotations
@@ -106,8 +110,25 @@ class DenoiseModel:
 def _coefficient_energy(v, obs_coeffs, lam: float, alpha: float) -> np.ndarray:
     """The energy of x | sigma2, lam, y per coefficient, alpha = 1 / sigma2:
     |v| / lam + alpha * (v - obs_coeffs)**2 / 2.  Its sum is U(v), and the
-    sweep's coordinatewise Metropolis test reads it term by term."""
-    return np.abs(v) / lam + 0.5 * alpha * (v - obs_coeffs) ** 2
+    sweep's coordinatewise Metropolis test reads it term by term.  It is
+    computed in two arrays, with the formula's operations in its order."""
+    energy = np.abs(v)
+    energy /= lam
+    quad = np.subtract(v, obs_coeffs)
+    np.square(quad, out=quad)
+    quad *= 0.5 * alpha
+    energy += quad
+    return energy
+
+
+def _hamiltonian(v, q, obs_coeffs, lam: float, alpha: float) -> np.ndarray:
+    """H = E(v) + q**2 / 2 per coefficient, with E from
+    ``_coefficient_energy`` and the kinetic term (q / 2) * q added last."""
+    h = _coefficient_energy(v, obs_coeffs, lam, alpha)
+    kinetic = np.multiply(q, 0.5)
+    kinetic *= q
+    h += kinetic
+    return h
 
 
 def denoise_energy(
@@ -127,8 +148,13 @@ def denoise_energy(
 
         x - prox(x) = k * (x - c) + clip(s, -t, t).
 
-    k and t are computed once per energy.  Being a per-step kick, the
-    residual takes no checks: x is taken as a float array of c's shape.
+    k and t are computed once per energy, held with -t as 0-d arrays, which
+    give ufuncs the bits of Python floats without their per-call
+    conversion, and s goes into a scratch array allocated once per energy, which the nshmc1 ``subgrad`` also uses for
+    alpha * (x - c).  A kick returns a fresh array, never the scratch, and
+    must not run while another kick of the same energy runs.  Being a
+    per-step kick, the residual takes no checks: x is taken as a float
+    array of c's shape.
     """
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
@@ -136,21 +162,28 @@ def denoise_energy(
         raise ValueError(f"lam must be finite and positive, got {lam}")
     c = np.asarray(obs_coeffs, dtype=float)
     alpha = 1.0 / sigma2
+    k = np.array(alpha / (1.0 + alpha))
+    t = 1.0 / (lam * (1.0 + alpha))
+    lo, hi = np.array(-t), np.array(t)
+    # Each kick's intermediate; never returned, so one array serves them all.
+    scratch = np.empty_like(c)
 
     def value(x):
         return float(np.add.reduce(_coefficient_energy(x, c, lam, alpha), axis=None))
 
     def subgrad(x, rng):
-        return np.asarray(subgrad_abs_sample(x, rng)) / lam + alpha * (x - c)
-
-    k = alpha / (1.0 + alpha)
-    t = 1.0 / (lam * (1.0 + alpha))
+        g = subgrad_abs_sample(x, rng)
+        g /= lam
+        s = np.subtract(x, c, out=scratch)
+        s *= alpha
+        g += s
+        return g
 
     def residual(x):
         d = x - c
         d *= k
-        s = x - d
-        np.clip(s, -t, t, out=s)
+        s = np.subtract(x, d, out=scratch)
+        np.clip(s, lo, hi, out=s)
         d += s
         return d
 
@@ -183,16 +216,16 @@ def _coordinate_hmc_sweep(
     kick = select_kick(energy, config.kind, rng)
     lf = config.leapfrog
     alpha = 1.0 / sigma2
-    q0 = rng.standard_normal(x.size)
+    q = rng.standard_normal(x.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        v, q = leapfrog(x.copy(), q0.copy(), kick, lf.epsilon, lf.steps)
+        h0 = _hamiltonian(x, q, obs_coeffs, lam, alpha)
+        v, q = leapfrog(x.copy(), q, kick, lf.epsilon, lf.steps)
         u = rng.random(x.size)
         if not np.isfinite(v).all():
             return x, 0.0
-        h0 = _coefficient_energy(x, obs_coeffs, lam, alpha) + 0.5 * q0 * q0
-        h1 = _coefficient_energy(v, obs_coeffs, lam, alpha) + 0.5 * q * q
-        ok = np.log(u) < h0 - h1
-    return np.where(ok, v, x), float(ok.mean())
+        h0 -= _hamiltonian(v, q, obs_coeffs, lam, alpha)
+        ok = np.log(u, out=u) < h0
+    return np.where(ok, v, x), np.count_nonzero(ok) / ok.size
 
 
 def gibbs_denoise_run(

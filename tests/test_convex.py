@@ -26,6 +26,7 @@ from nshmc.convex import (
     scaled_abs_fn,
     subgrad_abs_sample,
 )
+from nshmc.model import GGParams, gg_energy
 
 
 def bisect_root(h, lo, hi, iters=200):
@@ -164,6 +165,51 @@ def test_power_residual_matches_subtraction():
     with np.errstate(invalid="ignore"):
         for p in (1.2, 1.5, 3.0):
             assert np.isnan(power_residual(np.array([math.nan]), 1.0, p)).all()
+
+
+_DOUBLE_MAX = float(np.finfo(float).max)
+
+
+@pytest.mark.parametrize("gamma, p", [(3.0, 2.7), (1.0, 3.0), (1e-5, 3.0), (0.3, 1.05)])
+def test_general_p_residual_near_the_largest_double_against_mpmath(gamma, p):
+    # The Newton start overflowed w**r here (at p = 2.7, gamma = 3 from
+    # 1.68e308 up), and so did the root's w**r at p = 1.05.  The residual is
+    # (p / gamma) u**(p - 1) = |x| - u with u the root, on the array path
+    # and on a float.  Its power may overflow on the way, silenced here as
+    # run_chain silences it.
+    kick = gg_energy(GGParams(gamma, p)).residual
+    for x in (1.7e308, _DOUBLE_MAX, -_DOUBLE_MAX):
+        with mpmath.workdps(50):
+            u = _mp_power_root(abs(x), gamma, p)
+            want = float(mpmath.mpf(p) / gamma * u ** (mpmath.mpf(p) - 1))
+        with np.errstate(over="ignore"):
+            residuals = (power_residual(np.array([x]), gamma, p)[0], kick(x))
+        for got in residuals:
+            assert math.isfinite(got) and abs(got) <= abs(x)
+            assert got == pytest.approx(math.copysign(want, x), rel=1e-14)
+
+
+def test_general_p_residual_is_finite_and_at_most_x_up_to_the_largest_double():
+    # The rounded power can pass |x| by an ulp where the root u is below an
+    # ulp of |x|, or overflow near the largest double; the residual is
+    # capped at |x| on both paths.
+    top = [_DOUBLE_MAX]
+    for _ in range(16):
+        top.append(math.nextafter(top[-1], 0.0))
+    with np.errstate(over="ignore"):
+        sweep = np.geomspace(1e-300, _DOUBLE_MAX, 2001)
+    x = np.concatenate([sweep[np.isfinite(sweep)], top])
+    x = np.concatenate([x, -x])
+    for gamma in (0.3, 0.7, 1.0, 3.0, 1e-5):
+        for p in (1.05, 1.2, 2.7, 3.0):
+            kick = gg_energy(GGParams(gamma, p)).residual
+            with np.errstate(over="ignore"):
+                got = power_residual(x, gamma, p)
+                floats = [(v, kick(v)) for v in x[::50].tolist() + top]
+            assert np.all(np.isfinite(got)), (gamma, p)
+            assert np.all(np.abs(got) <= np.abs(x)), (gamma, p)
+            for v, r in floats:
+                assert math.isfinite(r) and abs(r) <= abs(v), (gamma, p, v)
 
 
 def test_prox_quad_l1_frozen_values():

@@ -118,6 +118,87 @@ def test_denoise_residual_matches_subtraction():
         assert np.all(np.abs(got - want) <= 4 * scale), (sigma2, lam)
 
 
+def test_residual_returns_a_fresh_array_each_call():
+    # The kick's intermediate lives in one array per energy, which no call
+    # returns: a result survives the next call unchanged.
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal(64) * 10.0
+    residual = denoise_energy(c, 4.0, 2.0).residual
+    x1, x2 = rng.standard_normal(64) * 10.0, rng.standard_normal(64) * 10.0
+    first = residual(x1)
+    kept = first.copy()
+    second = residual(x2)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+    assert residual(x1).tobytes() == kept.tobytes()
+
+
+def _closure_arrays(fn):
+    return [
+        cell.cell_contents
+        for cell in fn.__closure__
+        if isinstance(cell.cell_contents, np.ndarray) and cell.cell_contents.ndim > 0
+    ]
+
+
+def test_energies_do_not_share_a_scratch():
+    # Each energy allocates its own scratch, shaped like c; an energy built
+    # on a copy of c shares no array with the first.
+    c = np.random.default_rng(9).standard_normal(64)
+    one = denoise_energy(c, 4.0, 2.0)
+    two = denoise_energy(c.copy(), 4.0, 2.0)
+    mine = [a for a in _closure_arrays(one.residual) if a is not c]
+    assert len(mine) == 1 and mine[0].shape == c.shape
+    for a in _closure_arrays(two.residual):
+        assert not np.shares_memory(a, mine[0])
+
+
+def _inline_kick(x, c, sigma2, lam):
+    # The kick with a fresh array for s and Python-float constants.
+    alpha = 1.0 / sigma2
+    k = alpha / (1.0 + alpha)
+    t = 1.0 / (lam * (1.0 + alpha))
+    d = x - c
+    d *= k
+    s = x - d
+    np.clip(s, -t, t, out=s)
+    d += s
+    return d
+
+
+@pytest.mark.parametrize("sigma2, lam", [(SIGMA2, 6.0), (1e150, 3.0), (1e-150, 1e-3), (2.0, 0.1)])
+def test_residual_matches_inline_kick_bitwise_on_special_values(sigma2, lam):
+    # At sigma2 = 1e150, k is 1e-150 and s = x to the last bit, so x = +-t
+    # and its neighbours land on the clip's edges.
+    t = 1.0 / (lam * (1.0 + 1.0 / sigma2))
+    edges = [t, -t]
+    for e in (t, -t):
+        edges += [np.nextafter(e, np.inf), np.nextafter(e, -np.inf)]
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf, -np.inf, np.nan]
+    x = np.array(edges + special)
+    rng = np.random.default_rng(10)
+    for c in (np.zeros(x.size), rng.standard_normal(x.size) * 10.0, x.copy()):
+        with np.errstate(invalid="ignore"):
+            got = denoise_energy(c, sigma2, lam).residual(x)
+            want = _inline_kick(x, c, sigma2, lam)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_hamiltonian_matches_its_formula_bitwise():
+    # In-place steps in the formula's order give its bits, also where a
+    # reordering would not: q * q overflows from 1.35e154 while (q / 2) * q
+    # does not until 1.9e154, and products of tiny values round differently
+    # below the normal range.
+    v = np.array([0.0, -0.0, 1.5, -3e200, 1e-160, 5e-324, 7.0, np.inf, np.nan, 2.0])
+    q = np.array([1.5e154, -1.6e154, 1e-160, 3e-162, 0.7, -2.0, np.inf, 1.0, 0.5, 1.8e154])
+    c = np.array([1.0, -2.0, 1.5, 4.0, 0.0, 1e-300, -7.0, 0.0, 1.0, 2.0])
+    for lam, alpha in [(6.0, 1.0 / SIGMA2), (1e-3, 1e150), (3.0, 1e-150)]:
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            got = nshmc.denoise._hamiltonian(v, q, c, lam, alpha)
+            want = (np.abs(v) / lam + 0.5 * alpha * (v - c) ** 2) + 0.5 * q * q
+        assert got.tobytes() == want.tobytes()
+
+
 def test_energy_parameter_validation():
     c = np.zeros(4)
     for bad in (0.0, -1.0, math.inf, math.nan):
