@@ -29,8 +29,9 @@ and s = x - k * (x - Fy),
 
     x - prox(x) = k * (x - Fy) + clip(s, -t, t),
 
-with k and t computed once per sweep.  s goes into one scratch array that
-each energy allocates once and no kick returns, and the Metropolis test
+with k and t computed once per sweep.  x - Fy and s go through one
+64-byte aligned scratch array that each energy allocates once and no
+kick returns, and the Metropolis test
 computes H = U + q**2 / 2 in place, H0 before the trajectory, so that the
 drawn momentum itself can run it.  Every step keeps the formula's order of
 operations, so the bits are those of the allocating form.
@@ -58,6 +59,20 @@ _MAD_TO_STD = 0.6744897501960817
 
 # a = b of lam's IG(a, b) hyperprior.
 _IG_HYPER = 1e-3
+
+
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialised float array whose data starts on a 64-byte boundary.
+
+    numpy's allocator promises 16 bytes.  At 16 384 elements a ufunc whose
+    output is misaligned ran about twice as slow on an AVX-512 host (a
+    subtraction took 10.5-11.7 us against 5.7 us aligned), so the sweep's
+    reused arrays are aligned once when they are made.
+    """
+    n = math.prod(shape)
+    buf = np.empty(n + 7)
+    skip = (-buf.ctypes.data % 64) // 8
+    return buf[skip : skip + n].reshape(shape)
 
 
 def _noise_variance_estimate(coeffs: np.ndarray, op: WaveletOperator) -> float:
@@ -150,8 +165,9 @@ def denoise_energy(
 
     k and t are computed once per energy, held with -t as 0-d arrays, which
     give ufuncs the bits of Python floats without their per-call
-    conversion, and s goes into a scratch array allocated once per energy, which the nshmc1 ``subgrad`` also uses for
-    alpha * (x - c).  A kick returns a fresh array, never the scratch, and
+    conversion.  x - c and then s go through a 64-byte aligned scratch
+    array allocated once per energy, which the nshmc1 ``subgrad`` also uses
+    for alpha * (x - c).  A kick returns a fresh array, never the scratch, and
     must not run while another kick of the same energy runs.  Being a
     per-step kick, the residual takes no checks: x is taken as a float
     array of c's shape.
@@ -165,8 +181,8 @@ def denoise_energy(
     k = np.array(alpha / (1.0 + alpha))
     t = 1.0 / (lam * (1.0 + alpha))
     lo, hi = np.array(-t), np.array(t)
-    # Each kick's intermediate; never returned, so one array serves them all.
-    scratch = np.empty_like(c)
+    # Each kick's intermediates; never returned, so one array serves them all.
+    scratch = _aligned_empty(c.shape)
 
     def value(x):
         return float(np.add.reduce(_coefficient_energy(x, c, lam, alpha), axis=None))
@@ -180,9 +196,9 @@ def denoise_energy(
         return g
 
     def residual(x):
-        d = x - c
-        d *= k
-        s = np.subtract(x, d, out=scratch)
+        s = np.subtract(x, c, out=scratch)
+        d = s * k
+        np.subtract(x, d, out=s)
         np.clip(s, lo, hi, out=s)
         d += s
         return d

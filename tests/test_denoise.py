@@ -119,7 +119,7 @@ def test_denoise_residual_matches_subtraction():
 
 
 def test_residual_returns_a_fresh_array_each_call():
-    # The kick's intermediate lives in one array per energy, which no call
+    # The kick's intermediates live in one array per energy, which no call
     # returns: a result survives the next call unchanged.
     rng = np.random.default_rng(8)
     c = rng.standard_normal(64) * 10.0
@@ -142,13 +142,15 @@ def _closure_arrays(fn):
 
 
 def test_energies_do_not_share_a_scratch():
-    # Each energy allocates its own scratch, shaped like c; an energy built
-    # on a copy of c shares no array with the first.
+    # Each energy allocates its own scratch, shaped like c and starting on a
+    # 64-byte boundary; an energy built on a copy of c shares no array with
+    # the first.
     c = np.random.default_rng(9).standard_normal(64)
     one = denoise_energy(c, 4.0, 2.0)
     two = denoise_energy(c.copy(), 4.0, 2.0)
     mine = [a for a in _closure_arrays(one.residual) if a is not c]
     assert len(mine) == 1 and mine[0].shape == c.shape
+    assert mine[0].ctypes.data % 64 == 0
     for a in _closure_arrays(two.residual):
         assert not np.shares_memory(a, mine[0])
 
@@ -166,7 +168,9 @@ def _inline_kick(x, c, sigma2, lam):
     return d
 
 
-@pytest.mark.parametrize("sigma2, lam", [(SIGMA2, 6.0), (1e150, 3.0), (1e-150, 1e-3), (2.0, 0.1)])
+@pytest.mark.parametrize(
+    "sigma2, lam", [(SIGMA2, 6.0), (1e150, 3.0), (1e-150, 1e-3), (2.0, 0.1)]
+)
 def test_residual_matches_inline_kick_bitwise_on_special_values(sigma2, lam):
     # At sigma2 = 1e150, k is 1e-150 and s = x to the last bit, so x = +-t
     # and its neighbours land on the clip's edges.
@@ -190,7 +194,9 @@ def test_hamiltonian_matches_its_formula_bitwise():
     # does not until 1.9e154, and products of tiny values round differently
     # below the normal range.
     v = np.array([0.0, -0.0, 1.5, -3e200, 1e-160, 5e-324, 7.0, np.inf, np.nan, 2.0])
-    q = np.array([1.5e154, -1.6e154, 1e-160, 3e-162, 0.7, -2.0, np.inf, 1.0, 0.5, 1.8e154])
+    q = np.array(
+        [1.5e154, -1.6e154, 1e-160, 3e-162, 0.7, -2.0, np.inf, 1.0, 0.5, 1.8e154]
+    )
     c = np.array([1.0, -2.0, 1.5, 4.0, 0.0, 1e-300, -7.0, 0.0, 1.0, 2.0])
     for lam, alpha in [(6.0, 1.0 / SIGMA2), (1e-3, 1e150), (3.0, 1e-150)]:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
