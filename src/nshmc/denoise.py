@@ -31,10 +31,10 @@ and s = x - k * (x - Fy),
 
 with k and t computed once per sweep.  x - Fy and s go through one
 64-byte aligned scratch array that each energy allocates once and no
-kick returns, and the Metropolis test
-computes H = U + q**2 / 2 in place, H0 before the trajectory, so that the
-drawn momentum itself can run it.  Every step keeps the formula's order of
-operations, so the bits are those of the allocating form.
+kick returns, and the Metropolis test computes H = U + q**2 / 2 in place,
+H0 before the trajectory, so that the drawn momentum itself can run it.
+Every step keeps the formula's order of operations, so the bits are those
+of the allocating form.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ def _aligned_empty(shape) -> np.ndarray:
 
     numpy's allocator promises 16 bytes.  At 16 384 elements a ufunc whose
     output is misaligned ran about twice as slow on an AVX-512 host (a
-    subtraction took 10.5-11.7 us against 5.7 us aligned), so the sweep's
-    reused arrays are aligned once when they are made.
+    subtraction took 10.5-11.7 us against 5.7 us aligned), so the kick's
+    scratch, which every kick of an energy reuses, is aligned once.
     """
     n = math.prod(shape)
     buf = np.empty(n + 7)
@@ -166,11 +166,11 @@ def denoise_energy(
     k and t are computed once per energy, held with -t as 0-d arrays, which
     give ufuncs the bits of Python floats without their per-call
     conversion.  x - c and then s go through a 64-byte aligned scratch
-    array allocated once per energy, which the nshmc1 ``subgrad`` also uses
-    for alpha * (x - c).  A kick returns a fresh array, never the scratch, and
-    must not run while another kick of the same energy runs.  Being a
-    per-step kick, the residual takes no checks: x is taken as a float
-    array of c's shape.
+    array allocated once per energy, which the nshmc1 ``subgrad`` also
+    uses for alpha * (x - c).  A kick returns a fresh array, never the
+    scratch, and must not run while another kick of the same energy runs.
+    Being a per-step kick, the residual takes no checks: x is taken as a
+    float array of c's shape.
     """
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
