@@ -515,6 +515,12 @@ def cmd_sample(
         f"sample: acceptance rate {record.acceptance_rate:.3f}, "
         f"lag-1 autocorrelation {lag1:.3f}, divergent transitions {divergent}"
     )
+    if record.acceptance_rate == 0.0:
+        print(
+            "warning: sample accepted no proposal; every sample is the start "
+            "point (the origin), not a draw from the target",
+            file=sys.stderr,
+        )
     return {"out_dir": out, "record": record}
 
 

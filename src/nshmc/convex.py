@@ -215,7 +215,7 @@ def _power_kick(gamma: float, p: float):
     u**(p - 1), with u the magnitude of the prox:
 
         p = 1    clip(x, -1/gamma, 1/gamma),
-        p = 2    2 x / (gamma + 2),
+        p = 2    (x / (gamma + 2)) * 2,
         p = 3/2  (3 / (2 gamma)) * sign(x) * s, with s = sqrt(u) from the
                  closed form of ``prox_power`` (``_sqrt_prox_p32``),
         other p  (p / gamma) * sign(x) * u**(p - 1) from the Newton root u,
@@ -247,10 +247,11 @@ def _power_kick(gamma: float, p: float):
         g2 = gamma + 2.0
         two_arr, g2_arr = np.array(2.0), np.array(g2)
 
+        # Divided first, so that 2 x does not overflow near the largest double.
         def kick(x):
             if isinstance(x, float):
-                return 2.0 * x / g2
-            return two_arr * x / g2_arr
+                return x / g2 * 2.0
+            return x / g2_arr * two_arr
 
     elif p == 1.5:
         k = 0.75 / gamma

@@ -161,9 +161,24 @@ def _normal(rng, x):
     return rng.standard_normal(x.size)
 
 
+# OpenBLAS splits a dot product across threads from 10 001 elements up, and
+# the split moves its last bits with the thread count.
+_BLAS_DOT_MAX = 10_000
+
+
 def _sq(v) -> float:
-    """v . v; for a float v * v, the same bits as a one-element v @ v."""
-    return v * v if isinstance(v, float) else float(v @ v)
+    """v . v; for a float v * v, the same bits as a one-element v @ v.
+
+    Above ``_BLAS_DOT_MAX`` elements it is numpy's pairwise sum of v * v,
+    which runs on one thread, so a chain's accept decisions do not depend
+    on the BLAS thread count; up to there BLAS ``@`` is faster and never
+    splits.
+    """
+    if isinstance(v, float):
+        return v * v
+    if v.size > _BLAS_DOT_MAX:
+        return float(np.add.reduce(v * v))
+    return float(v @ v)
 
 
 def integrate_trajectory(

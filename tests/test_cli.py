@@ -252,6 +252,29 @@ def test_exp3_reports_x_update_acceptance(tmp_path, capsys):
     assert err.startswith("warning: exp3 accepted no x-update after burn-in")
 
 
+def test_sample_warns_when_no_proposal_was_accepted(tmp_path, capsys):
+    # At d = 64 the proximal kick at Moreau parameter 1 is so far from the
+    # force of E that the chain never leaves the origin.  The run still
+    # succeeds and writes its chain, but says that it never moved.
+    argv = ["sample", "--target", "gg:p=1.5", "--dim", "64", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == (
+        "sample: acceptance rate 0.000, lag-1 autocorrelation nan, "
+        "divergent transitions 0\n"
+    )
+    assert err.startswith("warning: sample accepted no proposal")
+    assert (tmp_path / "chain.csv").is_file()
+
+
+def test_sample_that_mixes_prints_no_warning(tmp_path, capsys):
+    argv = ["sample", "--target", "gg:p=1.5", "--dim", "4", "-n", "200"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("sample: acceptance rate ") and "rate 0.000" not in out
+    assert err == ""
+
+
 def test_exp3_reads_pgm_input(tmp_path):
     rng = np.random.default_rng(0)
     img = rng.integers(0, 200, size=(32, 32)).astype(float)
@@ -659,14 +682,18 @@ def test_sample_without_accepted_proposal_exits_0(tmp_path, capsys):
 def test_sample_at_extreme_proposal_std_exits_0(tmp_path, capsys, sampler):
     # A valid proposal_std never crashes the run: an overflowing proposal
     # is a rejection, and a chain moving on a scale of 1e-200 still has an
-    # autocorrelation.
+    # autocorrelation.  A chain that rejects every proposal says so on
+    # stderr, and nothing else is written there.
     code = main(["sample", "--sampler", sampler, "-n", "200", "--out-dir", str(tmp_path)])
     out, err = capsys.readouterr()
-    assert code == 0 and err == ""
+    assert code == 0
     if sampler.endswith("e308"):
         assert "acceptance rate 0.000" in out
+        assert err.startswith("warning: sample accepted no proposal")
+        assert err.count("\n") == 1
     else:
         assert "lag-1 autocorrelation nan" not in out
+        assert err == ""
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,11 +1,14 @@
-"""Import hygiene: importing the package and its CLI loads no scipy module,
-every export resolves, and so does every name the benchmark's tracer hooks
+"""Import hygiene: the package runs on numpy and mpmath alone.  Importing
+it and its CLI, and calling ``gg_cdf``, loads no scipy module, and every
+command runs where scipy cannot be imported; scipy serves only the tests.
+Every export resolves, and so does every name the benchmark's tracer hooks
 and every name the demos import.  The tracer can also read the denoiser's
 record, and its energy hook leaves a chain's samples as they were."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -16,18 +19,45 @@ SRC = ROOT / "src"
 MODULES = sorted(p.stem for p in (SRC / "nshmc").glob("*.py") if not p.stem.startswith("_"))
 
 
-def test_import_loads_no_scipy():
+def _run_python(code: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = (
-        "import nshmc, nshmc.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import nshmc, nshmc.cli, sys; "
+        "nshmc.gg_cdf([-1.0, 0.5], nshmc.GGParams(1.0, 1.5)); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _run_python(code).strip() == "[]"
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # A None entry in sys.modules makes every import of scipy raise
+    # ImportError, as in an environment where it is not installed.
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from nshmc import GGParams, gg_cdf\n"
+        "from nshmc.cli import main\n"
+        "print(json.dumps(gg_cdf([-2.0, 0.0, 3.0], GGParams(1.0, 1.5)).tolist()))\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for argv in (\n"
+        "    ['exp1', '-n', '200'], ['exp2', '-n', '200'], ['sample'],\n"
+        "    ['exp3', '-n', '4', '--burn-in', '2'],\n"
+        "):\n"
+        "    assert main([*argv, '--out-dir', f'{out}/{argv[0]}']) == 0, argv\n"
+    )
+    cdf = json.loads(_run_python(code).splitlines()[0])
+    assert cdf[0] < 0.5 == cdf[1] < cdf[2]
+    for command in ("exp1", "exp2", "sample", "exp3"):
+        assert (tmp_path / command / "manifest.json").is_file()
 
 
 def test_every_module_export_resolves():

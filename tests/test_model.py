@@ -98,6 +98,33 @@ def test_gg_cdf_monotone_and_vectorized():
     assert vals[0] < 1e-6 and vals[-1] > 1.0 - 1e-6
 
 
+def test_gg_cdf_matches_scipy_gammainc():
+    # The package computes P(1/p, |x|**p / gamma) in numpy; scipy's
+    # gammainc is the reference, over both of its branches (z below and
+    # above a + 1) and z from underflow to overflow.
+    from scipy.special import gammainc
+
+    mag = np.geomspace(1e-12, 1e4, 400)
+    xs = np.concatenate([-mag[::-1], [0.0], mag])
+    for p in (1.0, 1.05, 1.2, 1.5, 2.0, 3.0, 4.0, 10.0, 100.0):
+        for gamma in (1e-3, 0.3, 1.0, 7.0, 1e3):
+            with np.errstate(over="ignore"):
+                want = 0.5 + 0.5 * np.sign(xs) * gammainc(1.0 / p, np.abs(xs) ** p / gamma)
+            got = gg_cdf(xs, GGParams(gamma, p))
+            assert np.max(np.abs(got - want)) <= 1e-14, (p, gamma)
+
+
+def test_gg_cdf_edges_and_elementwise_values():
+    params = GGParams(1.0, 1.5)
+    edges = gg_cdf(np.array([-np.inf, -0.0, 0.0, np.inf, np.nan]), params)
+    assert edges[:4].tolist() == [0.0, 0.5, 0.5, 1.0] and np.isnan(edges[4])
+    assert math.isnan(gg_cdf(math.nan, params))
+    # Each element stops its loops on its own, so a value does not depend
+    # on the other elements of the array.
+    xs = np.random.default_rng(0).standard_normal(500) * 3.0
+    assert [gg_cdf(float(x), params) for x in xs] == gg_cdf(xs, params).tolist()
+
+
 def test_gg_cdf_is_derivative_of_density():
     params = GGParams(1.0, 1.5)
     for x in (-2.0, -0.4, 0.7, 3.0):

@@ -383,6 +383,29 @@ def test_run_chain_deterministic():
     assert np.array_equal(a.accepted, b.accepted)
 
 
+def test_high_dimensional_chain_does_not_depend_on_blas_threads(under_blas_threads):
+    # At d = 16 384 the kinetic energies' sums of squares are past the
+    # length from which a BLAS dot product splits them across threads.
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from nshmc.integrators import LeapfrogConfig\n"
+        "from nshmc.model import GGParams, gg_direct_sample, gg_energy\n"
+        "from nshmc.samplers import SamplerConfig, run_chain\n"
+        "params = GGParams(1.0, 1.5)\n"
+        "x0 = gg_direct_sample(params, np.random.default_rng(0), size=16384)\n"
+        "config = SamplerConfig(kind='nshmc1', iterations=40, seed=1,\n"
+        "                       leapfrog=LeapfrogConfig(epsilon=0.05, steps=10))\n"
+        "rec = run_chain(x0, gg_energy(params), config)\n"
+        "print(int(rec.accepted.sum()))\n"
+        "print(hashlib.sha256(rec.samples.tobytes()).hexdigest())\n"
+        "print(hashlib.sha256(rec.energy_error.tobytes()).hexdigest())\n"
+    )
+    one = under_blas_threads(code, 1)
+    assert 0 < int(one.split()[0]) < 40
+    assert under_blas_threads(code, 2) == one
+
+
 def test_rejected_iterations_repeat_previous_state():
     cfg = SamplerConfig(kind="rwmh", iterations=2000, seed=7, proposal_std=6.0)
     rec = run_chain(np.zeros(1), LAPLACE, cfg)
