@@ -2,15 +2,16 @@
 
 Each CLI run below goes in-process through ``cli.main``, and every file it
 writes except ``manifest.json`` (which records a wall time) is hashed.
-Together the runs cover every sampler kind, p in {1, 1.5, 2, 3}, the a|x| +
-bx^2 target, the three experiments and ``sample``, and one-coordinate
-chains on gg at p = 1, 1.5, 2 and 3 (exp1, nshmc1's draws at the origin,
-and the general-p residual on a float at p = 3 and 1.2) and on the a|x| +
-bx^2 target with both HMC kinds.  The general-p residual also runs on an
-array (p = 3 and 1.2 at d = 3), and the benchmark's chain (p = 1.5 at d = 16) is hashed as is.  The Gibbs denoiser's
-opt-in noise-variance draws, its subgradient kernel and sweeps whose
-trajectories overflow, which no command makes, are hashed through the
-estimate and record that ``gibbs_denoise_run`` returns.
+Together the runs cover every sampler kind, p in {1, 1.2, 1.5, 2, 3}, the
+a|x| + bx^2 target, the three experiments and ``sample``, and
+one-coordinate chains on gg at p = 1, 1.2, 1.5, 2 and 3 (exp1, nshmc1's
+draws at the origin, and the general-p residual on a float) and on the
+a|x| + bx^2 target with both HMC kinds.  The general-p residual also runs
+on an array (p = 1.2 and 3 at d = 3), and the benchmark's chain (p = 1.5
+at d = 16) is hashed as is.  The Gibbs denoiser's opt-in noise-variance
+draws, its subgradient kernel and sweeps whose trajectories overflow,
+which no command makes, are hashed through the estimate and record that
+``gibbs_denoise_run`` returns.
 
 The digests assume numpy 2.4.6 on an x86_64 CPU whose SIMD paths give the
 bits that this table was computed with; another numpy or CPU may move the

@@ -42,22 +42,17 @@ def test_residual_is_odd(p, gamma):
     assert np.array_equal(r_neg, -r_pos)
 
 
+# Known defect: the p = 3/2 closed form breaks the bound; strict, so that a
+# fix shows.
+P32_BREACH = pytest.mark.xfail(
+    strict=True,
+    reason="the p = 3/2 closed form exceeds |x| by an ulp where the prox is "
+    "below an ulp of |x| (ROADMAP item 13)",
+)
+
+
 @pytest.mark.parametrize(
-    "p, gamma",
-    [
-        pytest.param(
-            p,
-            gamma,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="the p = 3/2 closed form exceeds |x| by an ulp where the prox "
-                "is below an ulp of |x| (ROADMAP item 13)",
-            ),
-        )
-        if p == 1.5
-        else (p, gamma)
-        for p, gamma in CASES
-    ],
+    "p, gamma", [pytest.param(p, g, marks=P32_BREACH if p == 1.5 else ()) for p, g in CASES]
 )
 def test_residual_is_at_most_abs_x(p, gamma):
     x, r_pos, _ = _sweep(p, gamma)
