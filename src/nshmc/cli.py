@@ -207,9 +207,7 @@ def cmd_exp1(
     t0 = time.perf_counter()
     energy = gg_energy(params)
     spec = HistogramSpec()
-    # One scalar call per centre, as histogram_mse makes them: the vectorized
-    # call moves the last bits of the density at p = 1.5.
-    target = np.asarray([float(gg_density(c, params)) for c in spec.centers])
+    target = gg_density(spec.centers, params)
 
     records = {
         name: run_chain(np.zeros(1), energy, cfg) for name, cfg in configs.items()

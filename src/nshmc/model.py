@@ -131,13 +131,14 @@ class PotentialEnergy:
 def gg_density(x, params: GGParams):
     """Generalized Gaussian density, vectorized over x.
 
-    Where |x|**p / gamma overflows the density is 0, its limit.
+    Where |x|**p / gamma overflows the density is 0, its limit.  The power
+    is ``np.power``, so a float gets the bits of the same value in an array.
     """
     gamma, p = params.gamma, params.p
     lognorm = math.log(p) - math.log(2.0) - math.log(gamma) / p - math.lgamma(1.0 / p)
     arr = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        out = np.exp(lognorm - np.abs(arr) ** p / gamma)
+        out = np.exp(lognorm - np.power(np.abs(arr), p) / gamma)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -323,13 +324,15 @@ def gg_direct_sample(params: GGParams, rng: np.random.Generator, size=None):
     If G is Gamma(1/p, 1) then (gamma * G)**(1/p) has the law of |X|, so a
     draw is a symmetric random sign times that power transform.  Used as
     ground truth when judging the Markov chain samplers.  A draw whose
-    power transform overflows is +-inf.
+    power transform overflows is +-inf.  The power is ``np.power``, so
+    ``size=None`` gives the bits of the first draw of ``size=1`` from the
+    same stream.
     """
     gamma, p = params.gamma, params.p
     g = rng.gamma(1.0 / p, 1.0, size=size)
     sign = np.where(rng.random(size=size) < 0.5, -1.0, 1.0)
     with np.errstate(over="ignore"):
-        out = sign * (gamma * g) ** (1.0 / p)
+        out = sign * np.power(gamma * g, 1.0 / p)
     if size is None:
         return float(out)
     return out

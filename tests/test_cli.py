@@ -138,7 +138,7 @@ def test_mse_curve_matches_per_prefix_reference(p, dim):
     samples = gg_direct_sample(params, rng, size=(1000, dim))
     if dim == 1:
         spec = HistogramSpec()
-        target = np.asarray([float(gg_density(c, params)) for c in spec.centers])
+        target = gg_density(spec.centers, params)
         want = _exp1_reference_curve(samples[:, 0], _UNEVEN_ENDS, params, spec)
     else:
         spec = HistogramSpec(bins=cli._EXP2_BINS[dim])

@@ -45,7 +45,7 @@ GOLDEN = {
     },
     "exp1 --p 1.5 -n 1000": {
         "acf.csv": "5ee06a5dca8bf307",
-        "mse_curve.csv": "dcca0bf8aa34bcfe",
+        "mse_curve.csv": "d28c3b5804bc8a96",
     },
     "exp2 --dim 3 -n 600": {
         "convergence.csv": "279f08bdaf770973",
