@@ -35,7 +35,6 @@ __all__ = [
     "subgrad_abs_sample",
     "prox_soft_threshold",
     "prox_power",
-    "power_residual",
     "prox_quad_l1",
     "prox_denoise_energy",
     "prox_numeric_oracle",
@@ -108,10 +107,12 @@ def subgrad_abs_sample(x, rng: np.random.Generator):
 
     Away from zero the subdifferential is the singleton {sign(x)}; at zero it
     is the whole interval [-1, 1], from which a point is drawn uniformly.
-    Accepts scalars or arrays (elementwise).  A float is answered without
-    numpy, with the same value and the same draw as a one-element array.
+    Accepts scalars or arrays (elementwise).  A scalar of any type is taken
+    as a float and answered without numpy, with the same value and the same
+    draw as a one-element array.
     """
-    if isinstance(x, float):
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
         if x == 0.0:
             return rng.uniform(-1.0, 1.0)
         if not math.isfinite(x):
@@ -124,14 +125,7 @@ def subgrad_abs_sample(x, rng: np.random.Generator):
     zero = arr == 0.0
     nzero = int(np.count_nonzero(zero))
     if nzero:
-        out = np.where(zero, 0.0, out)  # keep dtype when arr is 0-d
-        draws = rng.uniform(-1.0, 1.0, size=nzero)
-        if out.ndim == 0:
-            out = np.asarray(draws[0])
-        else:
-            out[zero] = draws
-    if np.ndim(x) == 0:
-        return float(out)
+        out[zero] = rng.uniform(-1.0, 1.0, size=nzero)
     return out
 
 
@@ -163,7 +157,7 @@ def prox_power(x, gamma: float, p: float):
     cancellation.  With c = p / gamma:
 
         p = 1    soft thresholding at 1 / gamma,
-        p = 2    gamma * x / (gamma + 2),
+        p = 2    x * (gamma / (gamma + 2)),
         p = 3/2  the equation is quadratic in s = sqrt(u), so
                  s = 2|x| / (c + sqrt(c**2 + 4|x|)) and u = s**2.
 
@@ -179,7 +173,8 @@ def prox_power(x, gamma: float, p: float):
     if p == 1.0:
         return prox_soft_threshold(x, 1.0 / gamma)
     if p == 2.0:
-        out = gamma * arr / (gamma + 2.0)
+        # The factor lies in (0, 1]: no overflow, and no underflow but the prox's own.
+        out = arr * (gamma / (gamma + 2.0))
     elif p == 1.5:
         s = _sqrt_prox_p32(arr, 0.75 / gamma)
         out = np.copysign(s * s, arr)
@@ -190,24 +185,6 @@ def prox_power(x, gamma: float, p: float):
     return out
 
 
-def power_residual(x, gamma: float, p: float):
-    """x - prox_power(x, gamma, p), computed without the subtraction.
-
-    The residual is the gradient of the Moreau envelope of |u|**p / gamma
-    (Durmus, Moulines & Pereyra 2018, section 3) and the kick of the
-    proximal leapfrog.  This runs the array path of the kick that
-    ``_power_kick(gamma, p)`` builds, whose docstring gives the formulas;
-    an energy builds the kick once and calls it directly.
-
-    Unlike the subtraction this stays accurate where the residual is far
-    below |x|: at p = 1 and |x| = 1e300, x - prox(x) is 0, not 1 / gamma.
-    Being a per-step kick, it skips ``prox_power``'s checks: gamma and p
-    are taken as valid, and a non-finite x raises no error.  Returns an
-    array.
-    """
-    return _power_kick(gamma, p)(np.asarray(x, dtype=float))
-
-
 def _power_kick(gamma: float, p: float):
     """The kick x -> x - prox_power(x, gamma, p), built once for gamma and p.
 
@@ -215,7 +192,7 @@ def _power_kick(gamma: float, p: float):
     u**(p - 1), with u the magnitude of the prox:
 
         p = 1    clip(x, -1/gamma, 1/gamma),
-        p = 2    (x / (gamma + 2)) * 2,
+        p = 2    x / d with d = (gamma + 2) / 2 >= 1, so never above |x|,
         p = 3/2  (3 / (2 gamma)) * sign(x) * s, with s = sqrt(u) from the
                  closed form of ``prox_power`` (``_sqrt_prox_p32``),
         other p  (p / gamma) * sign(x) * u**(p - 1) from the Newton root u,
@@ -244,14 +221,13 @@ def _power_kick(gamma: float, p: float):
             return np.minimum(np.maximum(x, neg_t_arr), t_arr)
 
     elif p == 2.0:
-        g2 = gamma + 2.0
-        two_arr, g2_arr = np.array(2.0), np.array(g2)
+        d = (gamma + 2.0) / 2.0
+        d_arr = np.array(d)
 
-        # Divided first, so that 2 x does not overflow near the largest double.
         def kick(x):
             if isinstance(x, float):
-                return x / g2 * 2.0
-            return x / g2_arr * two_arr
+                return x / d
+            return x / d_arr
 
     elif p == 1.5:
         k = 0.75 / gamma

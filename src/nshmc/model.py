@@ -110,11 +110,12 @@ class PotentialEnergy:
     pass a one-element vector, and carries on with the float or numpy
     scalar that comes back.  numpy ufuncs on a float give the bits they
     give on a one-element array, but ``**`` on a numpy scalar calls the C
-    library's pow, whose last bits differ, so a handle writes powers with
-    ``np.power``.  ``gg_energy`` at p = 1 and 2, and ``quad_l1_energy``'s
-    ``subgrad``, answer a float in plain Python with the same bits (abs,
-    comparisons and arithmetic; no ``**``, which would raise
-    OverflowError); every other handle runs numpy on it.
+    library's pow, whose last bits differ, so every power in this module
+    is ``np.power``: in the handles, ``gg_density``, ``gg_cdf`` and
+    ``gg_direct_sample``.  ``gg_energy`` at p = 1 and 2, and
+    ``quad_l1_energy``'s ``subgrad``, answer a float in plain Python with
+    the same bits (abs, comparisons and arithmetic; no ``**``, which would
+    raise OverflowError); every other handle runs numpy on it.
 
     A handle fixes its constants when the energy is built.  On the array
     path ``gg_energy`` holds them as 0-d float64 arrays, which give a

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from nshmc.convex import (
+    _power_kick,
     abs_fn,
     custom_fn,
     power_fn,
     prox_denoise_energy,
-    power_residual,
     prox_numeric_oracle,
     prox_power,
     prox_quad_l1,
@@ -114,6 +114,23 @@ def test_prox_power_relative_accuracy_near_zero():
 
 
 @pytest.mark.filterwarnings("error")
+def test_prox_power_p2_at_extreme_x_and_gamma():
+    # gamma x / (gamma + 2) overflowed at the first two points although the
+    # prox is below |x|; (x / (gamma + 2)) gamma would go subnormal on the
+    # way at the last two and lose digits.
+    assert prox_power(1e300, 1e10, 2.0) == pytest.approx(1e300, rel=1e-9)
+    cases = [(1e300, 1e10), (_DOUBLE_MAX, 1e300), (1e-300, 1e10), (1e-290, 1e300)]
+    for x, gamma in cases:
+        with mpmath.workdps(40):
+            want = float(mpmath.mpf(x) * gamma / (gamma + 2))
+        for v, w in ((x, want), (-x, -want)):
+            got = prox_power(v, gamma, 2.0)
+            assert abs(got - w) <= 2 * math.ulp(w), (v, gamma, got, w)
+        got = prox_power(np.array([x, -x]), gamma, 2.0)
+        assert np.all(np.abs(got - [want, -want]) <= 2 * math.ulp(want))
+
+
+@pytest.mark.filterwarnings("error")
 def test_prox_power_array_matches_scalar():
     rng = np.random.default_rng(59)
     special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e12, -1e12])
@@ -147,7 +164,8 @@ def test_power_residual_at_huge_x_is_one_over_gamma():
     for gamma in (0.7, 1.0, 3.0):
         x = np.array([1e300, -1e300])
         assert np.array_equal(x - prox_power(x, gamma, 1.0), [0.0, 0.0])
-        assert np.array_equal(power_residual(x, gamma, 1.0), [1 / gamma, -1 / gamma])
+        kick = gg_energy(GGParams(gamma, 1.0)).residual
+        assert np.array_equal(kick(x), [1 / gamma, -1 / gamma])
 
 
 @pytest.mark.filterwarnings("error")
@@ -158,13 +176,15 @@ def test_power_residual_matches_subtraction():
     x = np.concatenate([-g, g, [0.0, -0.0]])
     for gamma in (0.3, 1.0, 3.0):
         for p in (1.0, 1.2, 1.5, 2.0, 3.0):
-            got = power_residual(x, gamma, p)
+            kick = gg_energy(GGParams(gamma, p)).residual
+            got = kick(x)
             want = x - prox_power(x, gamma, p)
             assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(x))), (gamma, p)
-            assert np.array_equal(power_residual(-x, gamma, p), -got)
+            assert np.array_equal(kick(-x), -got)
     with np.errstate(invalid="ignore"):
         for p in (1.2, 1.5, 3.0):
-            assert np.isnan(power_residual(np.array([math.nan]), 1.0, p)).all()
+            kick = gg_energy(GGParams(1.0, p)).residual
+            assert np.isnan(kick(np.array([math.nan]))).all()
 
 
 _DOUBLE_MAX = float(np.finfo(float).max)
@@ -177,13 +197,13 @@ def test_general_p_residual_near_the_largest_double_against_mpmath(gamma, p):
     # (p / gamma) u**(p - 1) = |x| - u with u the root, on the array path
     # and on a float.  Its power may overflow on the way, silenced here as
     # run_chain silences it.
-    kick = gg_energy(GGParams(gamma, p)).residual
+    kick = _power_kick(gamma, p)
     for x in (1.7e308, _DOUBLE_MAX, -_DOUBLE_MAX):
         with mpmath.workdps(50):
             u = _mp_power_root(abs(x), gamma, p)
             want = float(mpmath.mpf(p) / gamma * u ** (mpmath.mpf(p) - 1))
         with np.errstate(over="ignore"):
-            residuals = (power_residual(np.array([x]), gamma, p)[0], kick(x))
+            residuals = (kick(np.array([x]))[0], kick(x))
         for got in residuals:
             assert math.isfinite(got) and abs(got) <= abs(x)
             assert got == pytest.approx(math.copysign(want, x), rel=1e-14)
@@ -204,7 +224,7 @@ def test_general_p_residual_is_finite_and_at_most_x_up_to_the_largest_double():
         for p in (1.05, 1.2, 2.7, 3.0):
             kick = gg_energy(GGParams(gamma, p)).residual
             with np.errstate(over="ignore"):
-                got = power_residual(x, gamma, p)
+                got = kick(x)
                 floats = [(v, kick(v)) for v in x[::50].tolist() + top]
             assert np.all(np.isfinite(got)), (gamma, p)
             assert np.all(np.abs(got) <= np.abs(x)), (gamma, p)
