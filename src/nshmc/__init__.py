@@ -9,17 +9,10 @@ wavelet-domain image denoising.
 """
 
 from .convex import (
-    ScalarConvexFn,
-    abs_fn,
-    custom_fn,
-    power_fn,
     prox_denoise_energy,
-    prox_numeric_oracle,
     prox_power,
     prox_quad_l1,
     prox_soft_threshold,
-    quad_l1_fn,
-    scaled_abs_fn,
     subgrad_abs_sample,
 )
 from .denoise import DenoiseModel, denoise_energy, gibbs_denoise_run, synthetic_blocks

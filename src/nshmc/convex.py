@@ -14,19 +14,20 @@ problems*; Combettes & Pesquet 2011, *Proximal splitting methods in signal
 processing*, Table 10.2) and a safeguarded Newton solve for other
 exponents.  The operators take scalars or arrays and work elementwise.  A
 bracketing solver, Brent's method finished in 30-digit arithmetic, doubles
-as an independent check on every closed form.
+as an independent check on every closed form; it takes the function as a
+plain callable (``abs_fn`` and its siblings build the built-in ones), and
+it alone needs mpmath, which the ``test`` extra installs and the rest of
+the package never imports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "ScalarConvexFn",
     "abs_fn",
     "scaled_abs_fn",
     "power_fn",
@@ -45,47 +46,34 @@ _EPS = 2.0**-52
 _MAX_BRACKET = 2.0**60
 
 
-@dataclass(frozen=True)
-class ScalarConvexFn:
-    """A proper convex function on the real line.
-
-    ``fn`` evaluates the function and must be convex; nothing here verifies
-    that, but the test suite samples the secant inequality for every built-in.
-    """
-
-    fn: Callable[[float], float]
-
-    def __call__(self, u: float) -> float:
-        return self.fn(u)
-
-
-def abs_fn() -> ScalarConvexFn:
+def abs_fn() -> Callable[[float], float]:
     """|u|."""
-    return ScalarConvexFn(abs)
+    return abs
 
 
-def scaled_abs_fn(t: float) -> ScalarConvexFn:
+def scaled_abs_fn(t: float) -> Callable[[float], float]:
     """t * |u| for t > 0."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"scale must be finite and positive, got {t}")
-    return ScalarConvexFn(lambda u: t * abs(u))
+    return lambda u: t * abs(u)
 
 
-def power_fn(gamma: float, p: float) -> ScalarConvexFn:
+def power_fn(gamma: float, p: float) -> Callable[[float], float]:
     """|u|**p / gamma for gamma > 0 and p >= 1."""
     _check_power_params(gamma, p)
-    return ScalarConvexFn(lambda u: abs(u) ** p / gamma)
+    return lambda u: abs(u) ** p / gamma
 
 
-def quad_l1_fn(a: float, b: float) -> ScalarConvexFn:
+def quad_l1_fn(a: float, b: float) -> Callable[[float], float]:
     """a * |u| + b * u**2 for a > 0, b >= 0."""
     _check_quad_l1_params(a, b)
-    return ScalarConvexFn(lambda u: a * abs(u) + b * u * u)
+    return lambda u: a * abs(u) + b * u * u
 
 
-def custom_fn(evaluator: Callable[[float], float]) -> ScalarConvexFn:
-    """Wrap an arbitrary convex evaluator (convexity is the caller's promise)."""
-    return ScalarConvexFn(evaluator)
+def custom_fn(evaluator: Callable[[float], float]) -> Callable[[float], float]:
+    """An arbitrary convex evaluator, returned as it is (convexity is the
+    caller's promise)."""
+    return evaluator
 
 
 def _check_power_params(gamma: float, p: float) -> None:
@@ -424,8 +412,11 @@ def _brent_minimize(h, a, b, x, hx, tol):
                 v, hv = u, hu
 
 
-def prox_numeric_oracle(f: ScalarConvexFn, x: float, tol: float = 1e-10) -> float:
+def prox_numeric_oracle(f: Callable[[float], float], x: float, tol: float = 1e-10) -> float:
     """Minimize f(u) + (u - x)^2 / 2 by bracketing plus Brent's method.
+
+    ``f`` is any convex callable of one real argument, such as ``abs`` or
+    what ``power_fn`` returns; nothing here checks its convexity.
 
     The bracket starts at [x - |x| - 1, x + |x| + 1] and doubles outward
     until the midpoint value drops below both endpoint values, which for a
@@ -444,15 +435,16 @@ def prox_numeric_oracle(f: ScalarConvexFn, x: float, tol: float = 1e-10) -> floa
     evaluator therefore sees ``mpmath.mpf`` arguments during that stage;
     plain arithmetic on them works unchanged.  It never consults a closed
     form; this is the reference other operators are tested against.
+    mpmath is imported on the first call, so it must be installed (the
+    ``test`` extra) to call this, though not to import the package.
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     if not 0.0 < tol <= 1e-6:
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
-    fn = f.fn
 
     def g(u):
-        return fn(u) + 0.5 * (u - x) * (u - x)
+        return f(u) + 0.5 * (u - x) * (u - x)
 
     lo = x - abs(x) - 1.0
     hi = x + abs(x) + 1.0
@@ -487,7 +479,7 @@ def prox_numeric_oracle(f: ScalarConvexFn, x: float, tol: float = 1e-10) -> floa
         centre = mpmath.mpf(mid)
 
         def g_mp(u):
-            return fn(u) + (u - x) * (u - x) / 2
+            return f(u) + (u - x) * (u - x) / 2
 
         g_centre = g_mp(centre)
 

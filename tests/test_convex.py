@@ -259,6 +259,10 @@ def test_oracle_on_exact_cases():
     assert got == pytest.approx(4.0 / 3.0, abs=1e-10)
     # Beyond 2**33 a float step of 2.5e-7 rounds away; the search must not stall.
     assert prox_numeric_oracle(abs_fn(), -1e10) == pytest.approx(-1e10 + 1.0, abs=1e-10)
+    # Any callable will do: the builtin abs and a plain lambda, unwrapped.
+    assert prox_numeric_oracle(abs, -3.0) == pytest.approx(-2.0, abs=1e-10)
+    got = prox_numeric_oracle(lambda u: 2.0 * u * u, 5.0)
+    assert got == pytest.approx(1.0, abs=1e-10)
 
 
 def test_oracle_on_kinks():
@@ -281,7 +285,7 @@ def test_oracle_on_kinks():
     for f, x, exact in cases:
         arg_types = []
 
-        def recorded(u, fn=f.fn):
+        def recorded(u, fn=f):
             arg_types.append(type(u))
             return fn(u)
 

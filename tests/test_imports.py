@@ -1,6 +1,6 @@
-"""Import hygiene: the package runs on numpy and mpmath alone.  Importing
-it and its CLI, and calling ``gg_cdf``, loads no scipy module, and every
-command runs where scipy cannot be imported; scipy serves only the tests.
+"""Import hygiene: the package runs on numpy alone.  Importing it and its
+CLI, and calling ``gg_cdf``, loads no scipy or mpmath module, and every
+command runs where neither can be imported; both serve only the tests.
 Every export resolves, and so does every name the benchmark's tracer hooks
 and every name the demos import.  The tracer can also read the denoiser's
 record, and its energy hook leaves a chain's samples as they were."""
@@ -29,21 +29,22 @@ def _run_python(code: str) -> str:
     return proc.stdout
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy_or_mpmath():
     code = (
         "import nshmc, nshmc.cli, sys; "
         "nshmc.gg_cdf([-1.0, 0.5], nshmc.GGParams(1.0, 1.5)); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
     )
     assert _run_python(code).strip() == "[]"
 
 
-def test_commands_run_without_scipy(tmp_path):
-    # A None entry in sys.modules makes every import of scipy raise
+def test_commands_run_without_scipy_or_mpmath(tmp_path):
+    # A None entry in sys.modules makes every import of that name raise
     # ImportError, as in an environment where it is not installed.
     code = (
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
+        "sys.modules['mpmath'] = None\n"
         "from nshmc import GGParams, gg_cdf\n"
         "from nshmc.cli import main\n"
         "print(json.dumps(gg_cdf([-2.0, 0.0, 3.0], GGParams(1.0, 1.5)).tolist()))\n"
