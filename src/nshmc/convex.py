@@ -164,7 +164,10 @@ def prox_power(x, gamma: float, p: float):
         # The factor lies in (0, 1]: no overflow, and no underflow but the prox's own.
         out = arr * (gamma / (gamma + 2.0))
     elif p == 1.5:
-        s = _sqrt_prox_p32(arr, 0.75 / gamma)
+        # s = sign(x) sqrt(u), with sqrt(c**2 + 4|x|) / 2 = hypot(c / 2, sqrt|x|),
+        # which cannot overflow; dividing x carries its sign, zero's included.
+        k = 0.75 / gamma
+        s = arr / (k + np.hypot(k, np.sqrt(np.abs(arr))))
         out = np.copysign(s * s, arr)
     else:
         out = np.copysign(_power_roots(np.abs(arr), gamma, p), arr)
@@ -181,16 +184,18 @@ def _power_kick(gamma: float, p: float):
 
         p = 1    clip(x, -1/gamma, 1/gamma),
         p = 2    x / d with d = (gamma + 2) / 2 >= 1, so never above |x|,
-        p = 3/2  (3 / (2 gamma)) * sign(x) * s, with s = sqrt(u) from the
-                 closed form of ``prox_power`` (``_sqrt_prox_p32``),
+        p = 3/2  x * (c / (k + hypot(k, sqrt|x|))) with k = 0.75 / gamma,
+                 c * s for the s = sqrt(u) of ``prox_power`` with x
+                 multiplied last; c is exactly 2k and hypot(k, .) >= k,
+                 so the factor lies in (0, 1], never above |x|,
         other p  (p / gamma) * sign(x) * u**(p - 1) from the Newton root u,
                  capped at |x|.
 
-    The true residual |x| - u never exceeds |x|, but the rounded power can,
-    by an ulp where u is below an ulp of |x|, and near the largest double it
-    can overflow (with numpy's overflow warning unless the caller silences
-    it, as ``run_chain`` does); the cap returns |x| there, so a finite x
-    always gets a finite residual.
+    The true residual |x| - u never exceeds |x|, but the general path's
+    rounded power can, by an ulp where u is below an ulp of |x|, and near
+    the largest double it can overflow (with numpy's overflow warning
+    unless the caller silences it, as ``run_chain`` does); the cap returns
+    |x| there, so a finite x always gets a finite residual.
 
     The constants are fixed here.  A float (or numpy float scalar) gets
     them as Python floats, and at p = 1 and 2 a Python float back; an
@@ -223,9 +228,8 @@ def _power_kick(gamma: float, p: float):
 
         def kick(x):
             if isinstance(x, float):
-                return c * _sqrt_prox_p32(x, k)
-            # _sqrt_prox_p32 written out: the call costs 2% of a d = 16 chain.
-            return c_arr * (x / (k_arr + np.hypot(k_arr, np.sqrt(np.abs(x)))))
+                return x * (c / (k + np.hypot(k, np.sqrt(abs(x)))))
+            return x * (c_arr / (k_arr + np.hypot(k_arr, np.sqrt(np.abs(x)))))
 
     else:
         pm1 = p - 1.0
@@ -241,16 +245,6 @@ def _power_kick(gamma: float, p: float):
             return np.copysign(np.minimum(c_arr * np.power(u, pm1_arr), a), x)
 
     return kick
-
-
-def _sqrt_prox_p32(x, k):
-    """sign(x) * s with s = sqrt(|prox_power(x, gamma, 3/2)|), k = 0.75 / gamma.
-
-    s = |x| / (k + hypot(k, sqrt|x|)); dividing x itself carries its sign,
-    zero's included, with no copysign pass.  No ``out=``, so a float works.
-    """
-    # sqrt(c**2 + 4|x|) / 2 = hypot(c / 2, sqrt(|x|)), which cannot overflow.
-    return x / (k + np.hypot(k, np.sqrt(np.abs(x))))
 
 
 def _power_roots(a, gamma: float, p: float) -> np.ndarray:

@@ -44,7 +44,7 @@ GOLDEN = {
         "mse_curve.csv": "d1dcd4b6033ac695",
     },
     "exp1 --p 1.5 -n 1000": {
-        "acf.csv": "5ee06a5dca8bf307",
+        "acf.csv": "48cd30a44be71cc6",
         "mse_curve.csv": "d28c3b5804bc8a96",
     },
     "exp2 --dim 3 -n 600": {
@@ -58,7 +58,7 @@ GOLDEN = {
         "noisy.pgm": "e5856370f8bf9c91",
     },
     "sample --target gg:p=1.5 --sampler nshmc2:eps=0.3,lf=10 --dim 4 -n 500": {
-        "chain.csv": "69d69b52e2d116f3",
+        "chain.csv": "06d5703a09168b43",
     },
     "sample --target gg:p=3 --sampler nshmc1:eps=0.3,lf=10 --dim 3 -n 300": {
         "chain.csv": "d7b57474317fc5d4",
@@ -85,7 +85,7 @@ GOLDEN = {
         "chain.csv": "7acab323e4e0a039",
     },
     "sample --target gg:p=1.5 --sampler nshmc2:eps=0.05,lf=10 --dim 16 -n 500 --burn-in 200": {
-        "chain.csv": "ae8ef61a261f434c",
+        "chain.csv": "bd2a39ef149162ea",
     },
     "sample --target gg:p=3 --sampler nshmc2:eps=0.3,lf=10 --dim 3 -n 300": {
         "chain.csv": "5150ec4902e23706",

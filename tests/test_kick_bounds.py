@@ -59,18 +59,7 @@ def test_residual_is_odd(p, gamma):
     assert np.array_equal(r_neg, -r_pos)
 
 
-# Known defect: the p = 3/2 closed form breaks the bound; strict, so that a
-# fix shows.
-P32_BREACH = pytest.mark.xfail(
-    strict=True,
-    reason="the p = 3/2 closed form exceeds |x| by an ulp where the prox is "
-    "below an ulp of |x| (ROADMAP item 13)",
-)
-
-
-@pytest.mark.parametrize(
-    "p, gamma", [pytest.param(p, g, marks=P32_BREACH if p == 1.5 else ()) for p, g in CASES]
-)
+@pytest.mark.parametrize("p, gamma", CASES)
 def test_residual_is_at_most_abs_x(p, gamma):
     x, r_pos, _ = _sweep(p, gamma)
     assert (r_pos <= x).all(), x[r_pos > x]
@@ -89,17 +78,12 @@ def test_float_path_matches_array_path(p, gamma):
 
 # ------------------------------------------- monotonicity, firm nonexpansiveness
 
-# Known defects, by kick: where the residual loses its digits, prox +
-# residual is not x and the residual is not nonexpansive.
+# Known defect: where the residual loses its digits, prox + residual is not
+# x and the residual is not nonexpansive.
 GENERAL_P_UNDERFLOW = pytest.mark.xfail(
     strict=True,
     reason="for 1 < p < 2 the general-p residual (p / gamma) u**(p - 1) is 0 "
     "where u = w**r underflows, at tiny |x| (ROADMAP item 12)",
-)
-P32_SUBNORMAL = pytest.mark.xfail(
-    strict=True,
-    reason="the p = 3/2 residual divides |x| by 1.5 / gamma before it multiplies "
-    "by it, and loses digits where that quotient is subnormal (ROADMAP item 13)",
 )
 
 
@@ -107,8 +91,6 @@ def _defect(kind, s, t):
     """The known defect that breaks the residual of kick (kind, s, t), or ()."""
     if kind == "gg" and s in (1.05, 1.2):
         return GENERAL_P_UNDERFLOW
-    if kind == "gg" and s == 1.5 and t < 0.3:
-        return P32_SUBNORMAL
     return ()
 
 
