@@ -14,10 +14,9 @@ problems*; Combettes & Pesquet 2011, *Proximal splitting methods in signal
 processing*, Table 10.2) and a safeguarded Newton solve for other
 exponents.  The operators take scalars or arrays and work elementwise.  A
 bracketing solver, Brent's method finished in 30-digit arithmetic, doubles
-as an independent check on every closed form; it takes the function as a
-plain callable (``abs_fn`` and its siblings build the built-in ones), and
-it alone needs mpmath, which the ``test`` extra installs and the rest of
-the package never imports.
+as an independent check on every closed form.  It takes the function as a
+plain callable, and it alone needs mpmath, which the ``test`` extra
+installs.
 """
 
 from __future__ import annotations
@@ -185,9 +184,8 @@ def _power_kick(gamma: float, p: float):
         p = 1    clip(x, -1/gamma, 1/gamma),
         p = 2    x / d with d = (gamma + 2) / 2 >= 1, so never above |x|,
         p = 3/2  x * (c / (k + hypot(k, sqrt|x|))) with k = 0.75 / gamma,
-                 c * s for the s = sqrt(u) of ``prox_power`` with x
-                 multiplied last; c is exactly 2k and hypot(k, .) >= k,
-                 so the factor lies in (0, 1], never above |x|,
+                 c * sqrt(u) with x multiplied last; c is exactly 2k and
+                 hypot(k, .) >= k, so the factor lies in (0, 1],
         other p  (p / gamma) * sign(x) * u**(p - 1) from the Newton root u,
                  capped at |x|.
 

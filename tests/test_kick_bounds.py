@@ -16,17 +16,22 @@ for a|u| + bu**2.  On a geometric sweep of x from the smallest subnormal to
 and a leapfrog trajectory with the kick is reversible.  The closed forms
 at p = 1, 3/2 and 2 and the a|u| + bu**2 kick are cheap and get a dense
 sweep; the general-p Newton runs in Python per coordinate and gets a
-sparser one.  A property that a kick breaks is marked ``xfail(strict=True)``
+sparser one.  The wavelet denoiser's kick (``denoise_energy``) gets the
+monotonicity, firm nonexpansiveness and prox + residual checks on a sweep
+from -1e300 to 1e300, with 4 ulp of the observed coefficient added to
+each allowance.  A property that a kick breaks is marked ``xfail(strict=True)``
 with its reason, so that a fix shows.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
 from leapfrog_checks import flow, roundtrip_error
 
-from nshmc.convex import _power_kick, prox_power, prox_quad_l1
+from nshmc.convex import _power_kick, prox_denoise_energy, prox_power, prox_quad_l1
+from nshmc.denoise import denoise_energy
 from nshmc.integrators import leapfrog
 from nshmc.model import GGParams, gg_energy, quad_l1_energy
 
@@ -128,28 +133,31 @@ def test_residual_and_prox_are_monotone(kind, s, t):
     assert (np.diff(prox) >= 0.0).all(), x[1:][np.diff(prox) < 0.0]
 
 
-def _assert_firmly_nonexpansive(x, f):
-    """(x - y)(f(x) - f(y)) >= (f(x) - f(y))**2 on adjacent points y < x.
+def _firm_nonexpansiveness_breaches(x, f, slack=0.0):
+    """The points x where (x - y)(f(x) - f(y)) >= (f(x) - f(y))**2 fails,
+    with y < x the point before.
 
     Given monotonicity this reads f(x) - f(y) <= x - y.  Each computed value
     carries a rounding of a few ulp of |x|, the allowance of prox + residual
-    = x below, so the bound is taken with 4 ulp at each point.
+    = x below, so the bound is taken with 4 ulp at each point, plus
+    ``slack`` for a rounding that does not scale with x.
     """
-    rounding = 4.0 * (np.spacing(x[1:]) + np.spacing(x[:-1]))
-    over = np.diff(f) > np.diff(x) + rounding
-    assert not over.any(), x[1:][over]
+    rounding = 4.0 * (np.spacing(np.abs(x[1:])) + np.spacing(np.abs(x[:-1]))) + slack
+    return x[1:][np.diff(f) > np.diff(x) + rounding]
 
 
 @pytest.mark.parametrize("kind, s, t", _kick_params())
 def test_prox_is_firmly_nonexpansive(kind, s, t):
     x, _, prox = _prox_and_residual(kind, s, t)
-    _assert_firmly_nonexpansive(x, prox)
+    breaches = _firm_nonexpansiveness_breaches(x, prox)
+    assert not breaches.size, breaches
 
 
 @pytest.mark.parametrize("kind, s, t", _kick_params(defect=True))
 def test_residual_is_firmly_nonexpansive(kind, s, t):
     x, r, _ = _prox_and_residual(kind, s, t)
-    _assert_firmly_nonexpansive(x, r)
+    breaches = _firm_nonexpansiveness_breaches(x, r)
+    assert not breaches.size, breaches
 
 
 @pytest.mark.parametrize("kind, s, t", _kick_params(defect=True))
@@ -157,6 +165,54 @@ def test_prox_plus_residual_is_x(kind, s, t):
     x, r, prox = _prox_and_residual(kind, s, t)
     off = np.abs((prox + r) - x) > 4.0 * np.spacing(x)
     assert not off.any(), x[off]
+
+
+# ------------------------------------------------------------ denoise_energy
+
+# The observed coefficient c, and (sigma2, lam): the noise variance and the
+# prior's scale, each from tiny to huge, with alpha = 1 / sigma2.
+DENOISE_C = (0.0, -3.0, 7.5, 1e6)
+DENOISE_SCALES = list(itertools.product((1e-150, 1e-4, 40.0, 1e4, 1e150), (1e-3, 1.0, 7.0, 1e3)))
+
+
+def _denoise_sweeps(c):
+    """For each (sigma2, lam): x from -1e300 to 1e300 (geometric on each
+    side of 0, and 0), the residual of ``denoise_energy`` and
+    ``prox_denoise_energy`` there, and the rounding they carry from c.
+
+    Both take c in every coordinate, and their values carry a rounding of a
+    few ulp of |c| as well as of |x|: 4 ulp of |c| is the last item.
+    """
+    half = np.geomspace(1e-300, 1e300, 20_000)
+    x = np.r_[-half[::-1], 0.0, half]
+    coeffs = np.full_like(x, c)
+    c_ulps = 4.0 * np.spacing(abs(c))
+    for sigma2, lam in DENOISE_SCALES:
+        r = denoise_energy(coeffs, sigma2, lam).residual(x)
+        prox = prox_denoise_energy(x, coeffs, 1.0 / sigma2, lam)
+        yield (sigma2, lam), x, r, prox, c_ulps
+
+
+@pytest.mark.parametrize("c", DENOISE_C)
+def test_denoise_residual_and_prox_are_monotone(c):
+    for scales, x, r, prox, _ in _denoise_sweeps(c):
+        assert (np.diff(r) >= 0.0).all(), (scales, x[1:][np.diff(r) < 0.0])
+        assert (np.diff(prox) >= 0.0).all(), (scales, x[1:][np.diff(prox) < 0.0])
+
+
+@pytest.mark.parametrize("c", DENOISE_C)
+def test_denoise_residual_and_prox_are_firmly_nonexpansive(c):
+    for scales, x, r, prox, c_ulps in _denoise_sweeps(c):
+        for f in (r, prox):
+            breaches = _firm_nonexpansiveness_breaches(x, f, 2.0 * c_ulps)
+            assert not breaches.size, (scales, breaches)
+
+
+@pytest.mark.parametrize("c", DENOISE_C)
+def test_denoise_prox_plus_residual_is_x(c):
+    for scales, x, r, prox, c_ulps in _denoise_sweeps(c):
+        off = np.abs((prox + r) - x) > 4.0 * np.spacing(np.abs(x)) + c_ulps
+        assert not off.any(), (scales, x[off])
 
 
 # ------------------------------------------------------------ reversibility
