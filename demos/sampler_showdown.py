@@ -24,6 +24,7 @@ def main():
     params = GGParams(gamma=1.0, p=1.0)
     energy = gg_energy(params)
     spec = HistogramSpec()
+    target = gg_density(spec.centers, params)
 
     configs = {
         "proximal HMC": SamplerConfig(
@@ -46,7 +47,7 @@ def main():
     for name, cfg in configs.items():
         record = run_chain(np.zeros(1), energy, cfg)
         chain = record.kept[:, 0]
-        mse = histogram_mse(chain, lambda t: gg_density(t, params), spec)
+        (mse,) = histogram_mse(chain, target, spec, [chain.size])
         rho = acf(chain, 5)
         print(
             f"{name:<16} {record.acceptance_rate:>7.3f} {mse:>10.2e} "

@@ -45,14 +45,12 @@ from .denoise import DenoiseModel, gibbs_denoise_run, synthetic_blocks
 from .diagnostics import (
     _SSIM_SIZE,
     HistogramSpec,
-    _prefix_height_blocks,
     acf,
+    histogram_mse,
     prefix_heights,
     snr,
     ssim,
 )
-# bench/tracing.py hooks this name; no command calls it, so its span counts nothing.
-from .diagnostics import histogram_mse  # noqa: F401
 from .integrators import LeapfrogConfig
 from .model import GGParams, gg_density, gg_direct_sample, gg_energy, quad_l1_energy
 from .pgm import PgmParseError, pgm_read, pgm_write
@@ -133,24 +131,9 @@ def _write_outputs(out: Path, t0: float, files: dict) -> None:
         fh.write("\n")
 
 
-def _chain_acf(chain: np.ndarray, max_lag: int) -> np.ndarray:
-    """``acf`` of a chain; NaN at every lag for a chain that never moved."""
-    if chain.min() == chain.max():
-        return np.full(max_lag + 1, math.nan)
-    return acf(chain, max_lag)
-
-
-def _mse_curve(samples, ticks, target, spec: HistogramSpec) -> np.ndarray:
-    """Histogram MSE against target heights of samples[:t] for each t in ticks."""
-    # np.mean's arithmetic, one pairwise sum per row, without its wrapper.
-    return np.concatenate([
-        np.add.reduce((h - target) ** 2, axis=1) / h.shape[1]
-        for h in _prefix_height_blocks(samples, ticks, spec)
-    ])
-
-
-def _checkpoints(iterations: int, points: int = 200) -> np.ndarray:
-    stride = max(1, iterations // points)
+def _checkpoints(iterations: int) -> np.ndarray:
+    """About 200 evenly spaced iterations in [1, iterations], the last included."""
+    stride = max(1, iterations // 200)
     ticks = np.arange(stride, iterations + 1, stride)
     if ticks[-1] != iterations:
         ticks = np.append(ticks, iterations)
@@ -215,8 +198,8 @@ def cmd_exp1(
 
     names = list(configs)
     ticks = _checkpoints(iterations)
-    curves = {n: _mse_curve(records[n].samples, ticks, target, spec) for n in names}
-    acfs = {name: _chain_acf(records[name].kept[:, 0], max_lag) for name in names}
+    curves = {n: histogram_mse(records[n].samples, target, spec, ticks) for n in names}
+    acfs = {name: acf(records[name].kept[:, 0], max_lag) for name in names}
     _write_outputs(out, t0, {
         "mse_curve.csv": {"iteration": ticks, **curves},
         "acf.csv": {"lag": np.arange(max_lag + 1), **acfs},
@@ -293,14 +276,14 @@ def cmd_exp2(
 
     ref_rng = np.random.default_rng(seed + 4)
     ref = gg_direct_sample(params, ref_rng, size=(10 * iterations, dim))
-    reference = next(prefix_heights(ref, [len(ref)], spec))
+    reference = next(prefix_heights(ref, [len(ref)], spec))[0]
 
     floor_rng = np.random.default_rng(seed + 5)
     direct = gg_direct_sample(params, floor_rng, size=(iterations, dim))
     floor_mse = []
     for _ in range(_FLOOR_REPLICATES):
         draws = gg_direct_sample(params, floor_rng, size=(_FLOOR_DRAWS, dim))
-        floor_mse.append(_mse_curve(draws, [_FLOOR_DRAWS], reference, spec)[0])
+        floor_mse.append(histogram_mse(draws, reference, spec, [_FLOOR_DRAWS])[0])
     threshold = float(np.mean(floor_mse))
 
     chains = {
@@ -310,7 +293,7 @@ def cmd_exp2(
 
     ticks = _checkpoints(iterations)
     curves = {
-        name: _mse_curve(samples, ticks, reference, spec)
+        name: histogram_mse(samples, reference, spec, ticks)
         for name, samples in (*chains.items(), ("direct_floor", direct))
     }
     thresholds = {
@@ -501,7 +484,7 @@ def cmd_sample(
         )
 
     kept = record.kept
-    lag1 = _chain_acf(kept[:, 0], 1)[1]
+    lag1 = acf(kept[:, 0], 1)[1]
     chain = {
         "iteration": np.arange(burn_in, iterations),
         **{f"x{i}": kept[:, i] for i in range(dim)},

@@ -1,15 +1,16 @@
 """Chain and image quality diagnostics.
 
-Histogram mean squared error measures how closely a sample histogram
-tracks a target density; the autocorrelation function measures mixing
-speed; SNR and SSIM score reconstructed images against a reference.
+Histogram mean squared error measures how closely the histogram of a
+growing chain tracks target heights; the autocorrelation function
+measures mixing speed; SNR and SSIM score reconstructed images against a
+reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,8 +27,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HistogramSpec:
-    """Equal-width bins over [lo, hi] on each axis, for histogram_mse and
-    prefix_heights; prefix_heights states which bin holds a value on an edge."""
+    """Equal-width bins over [lo, hi] on each axis: the grid of prefix_heights
+    and histogram_mse.  A 1-D density at ``centers`` gives histogram_mse its
+    target heights; prefix_heights states which bin holds a value on an edge."""
 
     lo: float = -5.0
     hi: float = 5.0
@@ -63,20 +65,12 @@ _BLOCK_CELLS = 2**16
 
 
 def prefix_heights(samples, ends, spec: HistogramSpec) -> Iterator[np.ndarray]:
-    """Density-normalized histogram heights of samples[:t] for each t in ends.
+    """Density-normalized histogram heights of samples[:t] for each t in ends,
+    as 2-D blocks: one row per end, one column per cell.
 
     samples has shape (n,) or (n, d) and is binned on spec's grid along every
-    axis; each yield is count / (t * width**d) over the bins**d cells in C
-    order.  ends must increase strictly within [1, n].  The heights are
-    computed in blocks of ends (see ``_prefix_height_blocks``), and each
-    yield is one row of its block.
-    """
-    for block in _prefix_height_blocks(samples, ends, spec):
-        yield from block
-
-
-def _prefix_height_blocks(samples, ends, spec: HistogramSpec) -> Iterator[np.ndarray]:
-    """``prefix_heights`` as 2-D blocks: one row per end, one column per cell.
+    axis; the row of end t is count / (t * width**d) over the bins**d cells
+    in C order.  ends must increase strictly within [1, n].
 
     Every coordinate is binned once, by one ``searchsorted(edges, x,
     side="right")`` over the whole chain with edges = linspace(lo, hi,
@@ -126,39 +120,36 @@ def _prefix_height_blocks(samples, ends, spec: HistogramSpec) -> Iterator[np.nda
         yield block[:, :cells] / (block_ends * volume)[:, None]
 
 
-def histogram_mse(
-    samples: np.ndarray, pdf: Callable[[float], float], spec: HistogramSpec
-) -> float:
-    """Mean squared error between a density-normalized histogram and a pdf.
+def histogram_mse(samples, target, spec: HistogramSpec, ends) -> np.ndarray:
+    """Histogram MSE against target heights of samples[:t] for each t in ends.
 
-    Bin heights are count / (n * width) with n the total number of samples,
-    compared against the pdf at bin centers.  At least one sample must land
-    inside the histogram range.
+    target holds one height per cell of spec's grid, in prefix_heights'
+    order: a density at ``spec.centers``, or a reference histogram.  A
+    prefix with no sample inside the range gives mean(target**2).  ends
+    follows prefix_heights' rule, so an empty chain raises ValueError.
     """
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size == 0:
-        raise ValueError("histogram_mse needs at least one sample")
-    heights = next(prefix_heights(x, [x.size], spec))
-    if not heights.any():
-        raise ValueError(
-            f"no samples inside histogram range [{spec.lo}, {spec.hi}]"
-        )
-    target = np.asarray([float(pdf(c)) for c in spec.centers])
-    return float(np.mean((heights - target) ** 2))
+    # np.mean's arithmetic, one pairwise sum per row, without its wrapper.
+    return np.concatenate([
+        np.add.reduce((h - target) ** 2, axis=1) / h.shape[1]
+        for h in prefix_heights(samples, ends, spec)
+    ])
 
 
 def acf(chain: np.ndarray, max_lag: int) -> np.ndarray:
     """Empirical autocorrelation at lags 0..max_lag (biased estimator).
 
     rho_k = sum_t (x_t - xbar)(x_{t+k} - xbar) / sum_t (x_t - xbar)^2,
-    so rho_0 is exactly 1.  The chain must be longer than max_lag and must
-    not be constant.  Every sum is numpy's pairwise sum, not a BLAS dot
-    product, whose split across threads would move the last bits with the
-    BLAS thread count.
+    so rho_0 is exactly 1.  A chain that never moved (min == max, a
+    one-element chain included) has no autocorrelation: it gives NaN at
+    every lag.  Any other chain must be longer than max_lag.  Every sum is
+    numpy's pairwise sum, not a BLAS dot product, whose split across
+    threads would move the last bits with the BLAS thread count.
     """
     x = np.asarray(chain, dtype=float).ravel()
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
+    if x.min() == x.max():
+        return np.full(max_lag + 1, math.nan)
     if x.size <= max_lag:
         raise ValueError(
             f"chain of length {x.size} is too short for max_lag {max_lag}"
@@ -166,13 +157,12 @@ def acf(chain: np.ndarray, max_lag: int) -> np.ndarray:
     # Exact power-of-two scalings, first to max|x| and then to max|d| in
     # [0.5, 1), keep the mean of a chain near the float max from
     # overflowing and the squares of a chain that moves on a tiny scale
-    # from underflowing to zero.
+    # from underflowing to zero.  A chain with two distinct values keeps
+    # them distinct, so some d is nonzero and denom is at least 0.25.
     x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
     d = x - x.mean()
     d = np.ldexp(d, -math.frexp(float(np.max(np.abs(d))))[1])
     denom = float(np.add.reduce(d * d, axis=None))
-    if denom == 0.0:
-        raise ValueError("autocorrelation of a constant chain is undefined")
     rho = np.empty(max_lag + 1)
     rho[0] = 1.0
     for k in range(1, max_lag + 1):
@@ -199,12 +189,13 @@ def snr(reference: np.ndarray, estimate: np.ndarray) -> float:
 
 
 _SSIM_SIZE = 11  # side of the SSIM window, and so the smallest image ssim scores
+_SSIM_SIGMA = 1.5  # standard deviation of the window's Gaussian
 
 
-def _ssim_window(size: int = _SSIM_SIZE, sigma: float = 1.5) -> np.ndarray:
+def _ssim_window() -> np.ndarray:
     """Normalized 1-D Gaussian; the SSIM window is its outer product."""
-    half = (size - 1) / 2.0
-    g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma * sigma))
+    half = (_SSIM_SIZE - 1) / 2.0
+    g = np.exp(-((np.arange(_SSIM_SIZE) - half) ** 2) / (2.0 * _SSIM_SIGMA * _SSIM_SIGMA))
     return g / g.sum()
 
 

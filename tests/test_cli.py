@@ -113,10 +113,13 @@ def test_exp2_outputs(tmp_path):
 
 
 # The per-prefix curves that exp1 and exp2 computed before the running
-# counts, kept as the reference for cli._mse_curve.
+# counts, built on np.histogramdd as the reference for histogram_mse.
 def _exp1_reference_curve(samples, ends, params, spec):
-    pdf = lambda t: gg_density(t, params)
-    return np.array([histogram_mse(samples[:t], pdf, spec) for t in ends])
+    target = gg_density(spec.centers, params)
+    return np.array(
+        [np.mean((_exp2_reference_heights(samples[:t, None], spec) - target) ** 2)
+         for t in ends]
+    )
 
 
 def _exp2_reference_heights(samples, spec):
@@ -150,7 +153,7 @@ def test_mse_curve_matches_per_prefix_reference(p, dim):
                 for t in _UNEVEN_ENDS
             ]
         )
-    assert np.array_equal(cli._mse_curve(samples, _UNEVEN_ENDS, target, spec), want)
+    assert np.array_equal(histogram_mse(samples, target, spec, _UNEVEN_ENDS), want)
 
 
 def test_mse_curve_matches_per_prefix_reference_across_blocks():
@@ -167,7 +170,7 @@ def test_mse_curve_matches_per_prefix_reference_across_blocks():
         np.mean((_exp2_reference_heights(samples[:t], spec) - target) ** 2)
         for t in ends
     ]
-    assert np.array_equal(cli._mse_curve(samples, ends, target, spec), want)
+    assert np.array_equal(histogram_mse(samples, target, spec, ends), want)
 
 
 def test_mse_curve_memory_stays_near_one_height_vector():
@@ -178,7 +181,7 @@ def test_mse_curve_memory_stays_near_one_height_vector():
     target = np.zeros(spec.bins**4)
     tracemalloc.start()
     try:
-        curve = cli._mse_curve(samples, range(100, 2001, 100), target, spec)
+        curve = histogram_mse(samples, target, spec, range(100, 2001, 100))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -250,6 +253,20 @@ def test_exp3_reports_x_update_acceptance(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "exp3 x-update: post-burn-in acceptance 0.000" in out
     assert err.startswith("warning: exp3 accepted no x-update after burn-in")
+
+
+@pytest.mark.parametrize(
+    "argv", [["-n", "2", "--burn-in", "1"], ["-n", "5", "--burn-in", "4", "--dim", "3"]]
+)
+def test_sample_that_keeps_one_sample(tmp_path, capsys, argv):
+    # One retained sample never moved: its lag-1 autocorrelation is NaN,
+    # although the chain is shorter than the lag.
+    assert main(["sample", *argv, "--out-dir", str(tmp_path)]) == 0
+    out, _ = capsys.readouterr()
+    assert "lag-1 autocorrelation nan" in out
+    header, rows = _read_csv(tmp_path / "chain.csv")
+    burn_in = argv[argv.index("--burn-in") + 1]
+    assert len(rows) == 1 and rows[0][0] == burn_in and len(header) == len(rows[0])
 
 
 def test_sample_that_mixes_prints_no_warning(tmp_path, capsys):

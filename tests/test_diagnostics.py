@@ -60,7 +60,7 @@ def test_histogram_mse_point_mass_matches_hand_derivation():
     # Every sample at 0 fills exactly one bin to height 1/width; the MSE
     # against the target density follows by direct summation.
     spec = HistogramSpec()
-    got = histogram_mse(np.zeros(400), _pdf, spec)
+    (got,) = histogram_mse(np.zeros(400), gg_density(spec.centers, PARAMS), spec, [400])
     heights = np.zeros(spec.bins)
     heights[25] = 1.0 / spec.width
     target = np.array([_pdf(float(c)) for c in spec.centers])
@@ -71,18 +71,22 @@ def test_histogram_mse_point_mass_matches_hand_derivation():
 
 def test_histogram_mse_direct_sample_small():
     x = gg_direct_sample(PARAMS, np.random.default_rng(0), size=10**6)
-    assert histogram_mse(x, _pdf, HistogramSpec()) < 1e-4
+    spec = HistogramSpec()
+    assert histogram_mse(x, gg_density(spec.centers, PARAMS), spec, [x.size])[0] < 1e-4
 
 
 def test_histogram_mse_decreases_with_sample_size():
+    spec = HistogramSpec()
+    target = gg_density(spec.centers, PARAMS)
     medians = []
     for n in (10**3, 10**4, 10**5):
         vals = [
             histogram_mse(
                 gg_direct_sample(PARAMS, np.random.default_rng(seed), size=n),
-                _pdf,
-                HistogramSpec(),
-            )
+                target,
+                spec,
+                [n],
+            )[0]
             for seed in range(10)
         ]
         medians.append(float(np.median(vals)))
@@ -90,10 +94,14 @@ def test_histogram_mse_decreases_with_sample_size():
 
 
 def test_histogram_mse_input_errors():
-    with pytest.raises(ValueError):
-        histogram_mse(np.array([]), _pdf, HistogramSpec())
-    with pytest.raises(ValueError, match="range"):
-        histogram_mse(np.full(10, 100.0), _pdf, HistogramSpec())
+    # An empty chain has no valid end; a chain with no sample in range
+    # has all-zero heights, so its MSE is the mean square of the target.
+    spec = HistogramSpec()
+    target = gg_density(spec.centers, PARAMS)
+    with pytest.raises(ValueError, match="ends"):
+        histogram_mse(np.array([]), target, spec, [0])
+    got = histogram_mse(np.full(10, 100.0), target, spec, [1, 10])
+    assert np.array_equal(got, np.full(2, np.mean(target**2)))
 
 
 # ------------------------------------------------------------- prefix heights
@@ -104,8 +112,8 @@ def test_prefix_heights_edge_rule():
     # outside [lo, hi] are dropped but still count in the sample size.
     spec = HistogramSpec(lo=0.0, hi=1.0, bins=4)
     x = [0.0, 0.25, 0.5, 1.0, np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)]
-    (heights,) = prefix_heights(x, [6], spec)
-    assert np.array_equal(heights, np.full(4, 1.0 / (6 * 0.25)))
+    (block,) = prefix_heights(x, [6], spec)
+    assert np.array_equal(block, np.full((1, 4), 1.0 / (6 * 0.25)))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -134,7 +142,8 @@ def test_prefix_heights_match_numpy_on_edges(spec, dim):
     ends = list(range(1, n + 1)) if spec.bins**dim < 10**6 else [1, 2, 9, 10, 57, 299, 300]
     grid = {"bins": [spec.bins] * dim, "range": [(spec.lo, spec.hi)] * dim}
     samples = x[:, 0] if dim == 1 else x
-    for t, heights in zip(ends, prefix_heights(samples, ends, spec), strict=True):
+    rows = np.concatenate(list(prefix_heights(samples, ends, spec)))
+    for t, heights in zip(ends, rows, strict=True):
         counts, _ = np.histogramdd(x[:t], **grid)
         assert np.array_equal(heights, counts.ravel() / (t * spec.width**dim))
         if dim == 1:
@@ -214,12 +223,28 @@ def test_acf_zero_lag_only():
 
 
 def test_acf_input_errors():
-    with pytest.raises(ValueError, match="constant"):
-        acf(np.ones(100), 5)
     with pytest.raises(ValueError, match="too short"):
         acf(np.arange(5.0), 5)
     with pytest.raises(ValueError):
         acf(np.arange(10.0), -1)
+    with pytest.raises(ValueError):
+        acf(np.ones(3), -1)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [np.full(50, 0.1), np.full(50, 1 / 3), np.full(50, 7.7), np.full(50, -2.5e-300),
+     np.full(50, 1e300), np.ones(100), np.zeros(7), np.array([0.1])],
+)
+@pytest.mark.parametrize("max_lag", [0, 5])
+def test_acf_of_a_chain_that_never_moved_is_nan(chain, max_lag):
+    # The mean of a constant chain of 0.1 rounds away from 0.1, so its
+    # deviations are a constant offset that would read as a perfectly
+    # correlated chain; a chain that never moved has no autocorrelation.
+    # The one-element chain is shorter than lag 5 and still gives NaN.
+    r = acf(chain, max_lag)
+    assert r.shape == (max_lag + 1,)
+    assert np.isnan(r).all()
 
 
 # ------------------------------------------------------------------------ snr
