@@ -13,18 +13,20 @@ creates the output directory, writes the files and writes the manifest
 last, so a run that fails before it leaves no directory behind.
 
 ``_build_parser`` states each command's parameters: their names, types,
-defaults and the seed rule.  A command's optional parameters repeat their
-defaults in its signature, for Python callers; a test holds the two equal.
+the seed rule and the defaults of the parameters that are required in
+Python.  An optional parameter takes its default from the command's
+signature, so the command line and Python callers share one default.
 ``main`` parses the command line with it.  ``replay`` turns a manifest's
 params into ``--name=value`` arguments and parses them with the same
 parser, so a wrong name, type or null in a manifest is the same usage
 error it would be on the command line.
 A manifest records the command's arguments once its defaults are resolved.
 
-The valid range of a value is stated once, by the constructor that uses it
-(``GGParams``, ``SamplerConfig``, ``LeapfrogConfig``, ``HistogramSpec``,
-``WaveletOperator``).  Each command builds those objects inside ``_usage``,
-so an out-of-range value is a usage error.
+The valid range of a value is stated once, by the function or constructor
+that uses it (``GGParams``, ``SamplerConfig``, ``LeapfrogConfig``,
+``HistogramSpec``, ``WaveletOperator``; ``exp3``'s image rules are those of
+``snr`` and ``ssim``).  Each command calls them inside ``_usage``, so an
+out-of-range value is a usage error.
 
 Exit codes: 0 success, 2 usage error, 3 file/parse error, 4 numeric failure.
 """
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import math
 import sys
@@ -42,15 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .denoise import DenoiseModel, gibbs_denoise_run, synthetic_blocks
-from .diagnostics import (
-    _SSIM_SIZE,
-    HistogramSpec,
-    acf,
-    histogram_mse,
-    prefix_heights,
-    snr,
-    ssim,
-)
+from .diagnostics import HistogramSpec, acf, histogram_mse, prefix_heights, snr, ssim
 from .integrators import LeapfrogConfig
 from .model import GGParams, gg_density, gg_direct_sample, gg_energy, quad_l1_energy
 from .pgm import PgmParseError, pgm_read, pgm_write
@@ -260,7 +255,7 @@ def cmd_exp2(
     chain can never match the iid accuracy of its own full sample count,
     so tying the bar to the budget would censor every run.
     """
-    if dim not in (2, 3, 4):
+    if dim not in _EXP2_BINS:
         raise UsageError(f"dim must be one of 2, 3, 4; got {dim}")
     if bins is None:
         bins = _EXP2_BINS[dim]
@@ -348,27 +343,23 @@ def cmd_exp3(
             seed=seed,
             leapfrog=LeapfrogConfig(epsilon=eps, steps=steps),
         )
-    if min(height, width) < _SSIM_SIZE:
-        raise UsageError(
-            f"SSIM needs an image of at least {_SSIM_SIZE}x{_SSIM_SIZE}, "
-            f"got {width}x{height}"
-        )
     # The outputs are 8-bit PGMs and SSIM is scored at dynamic range 255.
     if clean.max() > 255:
         raise UsageError(f"exp3 needs an 8-bit image, got a pixel of {clean.max():g}")
-    if not clean.any():
-        raise UsageError("SNR is undefined for an all-zero image")
     out = Path(out_dir)
 
     noise_rng = np.random.default_rng(seed + 1)
     noisy = clean + math.sqrt(noise_var) * noise_rng.standard_normal(clean.shape)
+    # snr and ssim refuse an all-zero or too small image before the sampler runs.
+    with _usage():
+        noisy_scores = (snr(clean, noisy), ssim(clean, noisy))
 
     model = DenoiseModel(observed=noisy, wavelet=wavelet)
     estimate, record = gibbs_denoise_run(model, config)
     sigma2, lam = record.samples.T
 
     metrics = {
-        "noisy": (snr(clean, noisy), ssim(clean, noisy)),
+        "noisy": noisy_scores,
         "denoised": (snr(clean, estimate), ssim(clean, estimate)),
     }
     snrs, ssims = zip(*metrics.values())
@@ -554,7 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     An experiment subparser's destinations are its command's parameter
     names, and its ``run`` default is the command, looked up when the
-    parser is built.
+    parser is built.  An argument with no ``default=`` of its own takes
+    the default that the command's signature gives it.
     """
     parser = _Parser(
         prog="nshmc",
@@ -562,9 +554,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help):
+    def subparser(name, run, help):
         cmd = sub.add_parser(name, help=help)
-        cmd.set_defaults(run=run)
+        params = inspect.signature(run).parameters.values()
+        cmd.set_defaults(
+            run=run, **{p.name: p.default for p in params if p.default is not p.empty}
+        )
+        return cmd
+
+    def command(name, run, help):
+        cmd = subparser(name, run, help)
         cmd.add_argument("--seed", type=_seed, default=0)
         cmd.add_argument("--out-dir", required=True)
         return cmd
@@ -573,19 +572,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p1.add_argument("--p", type=float, default=1.0, help="target exponent (>= 1)")
     p1.add_argument("--lam", type=float, default=1.0, help="target scale gamma")
     p1.add_argument("-n", "--iterations", type=int, default=20000)
-    p1.add_argument("--burn-in", type=int, default=None)
-    p1.add_argument("--eps", type=float, default=0.25, help="leapfrog step size")
-    p1.add_argument("--steps", type=int, default=10, help="leapfrog steps")
-    p1.add_argument("--max-lag", type=int, default=50)
+    p1.add_argument("--burn-in", type=int)
+    p1.add_argument("--eps", type=float, help="leapfrog step size")
+    p1.add_argument("--steps", type=int, help="leapfrog steps")
+    p1.add_argument("--max-lag", type=int)
 
     p2 = command("exp2", cmd_exp2, "multivariate convergence against direct draws")
     p2.add_argument("--dim", type=int, default=2, help="dimension (2, 3 or 4)")
     p2.add_argument("--p", type=float, default=1.0)
     p2.add_argument("--lam", type=float, default=1.0)
     p2.add_argument("-n", "--iterations", type=int, default=6000)
-    p2.add_argument("--eps", type=float, default=0.25)
-    p2.add_argument("--steps", type=int, default=10)
-    p2.add_argument("--bins", type=int, default=None, help="histogram bins per axis")
+    p2.add_argument("--eps", type=float)
+    p2.add_argument("--steps", type=int)
+    p2.add_argument("--bins", type=int, help="histogram bins per axis")
 
     p3 = command("exp3", cmd_exp3, "Bayesian wavelet denoising of an image")
     p3.add_argument("--input-pgm", default=None, help="binary PGM input; "
@@ -593,9 +592,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p3.add_argument("--noise-var", type=float, default=40.0)
     p3.add_argument("-n", "--iterations", type=int, default=1000)
     p3.add_argument("--burn-in", type=int, default=500)
-    p3.add_argument("--eps", type=float, default=0.5)
-    p3.add_argument("--steps", type=int, default=10)
-    p3.add_argument("--levels", type=int, default=3)
+    p3.add_argument("--eps", type=float)
+    p3.add_argument("--steps", type=int)
+    p3.add_argument("--levels", type=int)
 
     ps = command("sample", cmd_sample, "run one chain on a named target")
     ps.add_argument("--target", default="gg:p=1,gamma=1",
@@ -603,13 +602,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--sampler", default="nshmc2:eps=0.05,lf=10",
                     help=_spec_help("sampler", _SAMPLERS))
     ps.add_argument("-n", "--iterations", type=int, default=1000)
-    ps.add_argument("--burn-in", type=int, default=0)
-    ps.add_argument("--dim", type=int, default=1)
+    ps.add_argument("--burn-in", type=int)
+    ps.add_argument("--dim", type=int)
 
-    pr = sub.add_parser("replay", help="rerun a recorded manifest")
-    pr.set_defaults(run=cmd_replay)
+    pr = subparser("replay", cmd_replay, "rerun a recorded manifest")
     pr.add_argument("manifest_path", metavar="manifest")
-    pr.add_argument("--out-dir", default=None)
+    pr.add_argument("--out-dir")
     return parser
 
 

@@ -317,11 +317,7 @@ def prox_quad_l1(x, a: float, b: float):
     sign(x) * max(|x| - a, 0) / (1 + 2b).  Accepts scalars or arrays.
     """
     _check_quad_l1_params(a, b)
-    arr = np.asarray(x, dtype=float)
-    out = np.sign(arr) * np.maximum(np.abs(arr) - a, 0.0) / (1.0 + 2.0 * b)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return prox_soft_threshold(x, a) / (1.0 + 2.0 * b)
 
 
 def prox_denoise_energy(

@@ -70,7 +70,7 @@ def prefix_heights(samples, ends, spec: HistogramSpec) -> Iterator[np.ndarray]:
 
     samples has shape (n,) or (n, d) and is binned on spec's grid along every
     axis; the row of end t is count / (t * width**d) over the bins**d cells
-    in C order.  ends must increase strictly within [1, n].
+    in C order.  ends must be non-empty and strictly increasing in [1, n].
 
     Every coordinate is binned once, by one ``searchsorted(edges, x,
     side="right")`` over the whole chain with edges = linspace(lo, hi,
@@ -89,8 +89,9 @@ def prefix_heights(samples, ends, spec: HistogramSpec) -> Iterator[np.ndarray]:
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    if sorted(set(ends)) != list(ends) or not all(1 <= t <= len(x) for t in ends):
-        raise ValueError(f"ends must increase strictly within [1, {len(x)}]")
+    n = len(x)
+    if not len(ends) or sorted(set(ends)) != list(ends) or ends[0] < 1 or ends[-1] > n:
+        raise ValueError(f"ends must be non-empty and strictly increasing in [1, {n}]")
     bins, dim = spec.bins, x.shape[1]
     cells = bins**dim
     edges = np.linspace(spec.lo, spec.hi, bins + 1)
@@ -126,7 +127,8 @@ def histogram_mse(samples, target, spec: HistogramSpec, ends) -> np.ndarray:
     target holds one height per cell of spec's grid, in prefix_heights'
     order: a density at ``spec.centers``, or a reference histogram.  A
     prefix with no sample inside the range gives mean(target**2).  ends
-    follows prefix_heights' rule, so an empty chain raises ValueError.
+    follows prefix_heights' rule, so an empty chain or an empty ends raises
+    ValueError.
     """
     # np.mean's arithmetic, one pairwise sum per row, without its wrapper.
     return np.concatenate([
@@ -141,13 +143,16 @@ def acf(chain: np.ndarray, max_lag: int) -> np.ndarray:
     rho_k = sum_t (x_t - xbar)(x_{t+k} - xbar) / sum_t (x_t - xbar)^2,
     so rho_0 is exactly 1.  A chain that never moved (min == max, a
     one-element chain included) has no autocorrelation: it gives NaN at
-    every lag.  Any other chain must be longer than max_lag.  Every sum is
-    numpy's pairwise sum, not a BLAS dot product, whose split across
-    threads would move the last bits with the BLAS thread count.
+    every lag.  An empty chain raises ValueError, and any other chain must
+    be longer than max_lag.  Every sum is numpy's pairwise sum, not a BLAS
+    dot product, whose split across threads would move the last bits with
+    the BLAS thread count.
     """
     x = np.asarray(chain, dtype=float).ravel()
     if max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
+    if not x.size:
+        raise ValueError("chain must not be empty")
     if x.min() == x.max():
         return np.full(max_lag + 1, math.nan)
     if x.size <= max_lag:

@@ -481,7 +481,7 @@ def test_main_success_exit_code(tmp_path):
     assert main(["sample", "-n", "50", "--out-dir", str(tmp_path)]) == 0
 
 
-def test_main_usage_errors_exit_2(tmp_path):
+def test_main_usage_errors_exit_2(tmp_path, monkeypatch):
     d = str(tmp_path)
     assert main(["exp2", "--dim", "5", "--out-dir", d]) == 2
     assert main(["exp1", "--p", "0.5", "--out-dir", d]) == 2
@@ -505,6 +505,10 @@ def test_main_usage_errors_exit_2(tmp_path):
     assert main(["sample", "--sampler", "rwmh:std=-1", "--out-dir", d]) == 2
     # An image that SSIM cannot window, or whose SNR is undefined, is
     # rejected before the sampler runs.
+    def never(*args):
+        raise AssertionError("exp3 ran the sampler on a refused image")
+
+    monkeypatch.setattr(cli, "gibbs_denoise_run", never)
     rng = np.random.default_rng(0)
     for name, img in (("small", rng.integers(1, 200, size=(8, 8))),
                       ("zero", np.zeros((16, 16)))):

@@ -100,6 +100,8 @@ def test_histogram_mse_input_errors():
     target = gg_density(spec.centers, PARAMS)
     with pytest.raises(ValueError, match="ends"):
         histogram_mse(np.array([]), target, spec, [0])
+    with pytest.raises(ValueError, match="ends must be non-empty"):
+        histogram_mse(np.zeros(10), target, spec, [])
     got = histogram_mse(np.full(10, 100.0), target, spec, [1, 10])
     assert np.array_equal(got, np.full(2, np.mean(target**2)))
 
@@ -229,6 +231,8 @@ def test_acf_input_errors():
         acf(np.arange(10.0), -1)
     with pytest.raises(ValueError):
         acf(np.ones(3), -1)
+    with pytest.raises(ValueError, match="chain must not be empty"):
+        acf(np.array([]), 0)
 
 
 @pytest.mark.parametrize(
