@@ -210,7 +210,6 @@ def cmd_exp1(
 
 
 _EXP2_BINS = {2: 20, 3: 12, 4: 8}
-_MAX_CELLS = 2**20  # bins**dim above this is a usage error, not a MemoryError
 # exp3's SSIM overflows from about 1e155 (noise scale ** 4).  The floor is
 # the reciprocal, which keeps alpha = 1 / sigma2 and the denoiser kick's
 # threshold 1 / (lam * (1 + alpha)) many decades from overflow and underflow.
@@ -243,7 +242,6 @@ def cmd_exp2(
     out_dir,
     eps: float = 0.25,
     steps: int = 10,
-    bins: int | None = None,
 ) -> dict:
     """Multivariate convergence study against exact direct draws.
 
@@ -257,14 +255,10 @@ def cmd_exp2(
     """
     if dim not in _EXP2_BINS:
         raise UsageError(f"dim must be one of 2, 3, 4; got {dim}")
-    if bins is None:
-        bins = _EXP2_BINS[dim]
     with _usage():
         params = GGParams(gamma=lam, p=p)
-        spec = HistogramSpec(bins=bins)
+        spec = HistogramSpec(bins=_EXP2_BINS[dim])
         configs = _configs(("nshmc2", "rwmh"), iterations, seed, eps, steps)
-    if bins**dim > _MAX_CELLS:
-        raise UsageError(f"bins**dim = {bins}**{dim} exceeds the {_MAX_CELLS}-cell limit")
     out = Path(out_dir)
     t0 = time.perf_counter()
     energy = gg_energy(params)
@@ -584,7 +578,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p2.add_argument("-n", "--iterations", type=int, default=6000)
     p2.add_argument("--eps", type=float)
     p2.add_argument("--steps", type=int)
-    p2.add_argument("--bins", type=int, help="histogram bins per axis")
 
     p3 = command("exp3", cmd_exp3, "Bayesian wavelet denoising of an image")
     p3.add_argument("--input-pgm", default=None, help="binary PGM input; "

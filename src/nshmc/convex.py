@@ -185,7 +185,9 @@ def _power_kick(gamma: float, p: float):
         p = 2    x / d with d = (gamma + 2) / 2 >= 1, so never above |x|,
         p = 3/2  x * (c / (k + hypot(k, sqrt|x|))) with k = 0.75 / gamma,
                  c * sqrt(u) with x multiplied last; c is exactly 2k and
-                 hypot(k, .) >= k, so the factor lies in (0, 1],
+                 hypot(k, .) >= k, so the factor lies in (0, 1].  Above
+                 gamma = 1e152 the factor can underflow, and c multiplies
+                 last: c * (x / (k + hypot(k, sqrt|x|))),
         other p  (p / gamma) * sign(x) * u**(p - 1) from the Newton root u,
                  capped at |x|.
 
@@ -223,11 +225,17 @@ def _power_kick(gamma: float, p: float):
     elif p == 1.5:
         k = 0.75 / gamma
         c_arr, k_arr = np.array(c), np.array(k)
-
-        def kick(x):
-            if isinstance(x, float):
-                return x * (c / (k + np.hypot(k, np.sqrt(abs(x)))))
-            return x * (c_arr / (k_arr + np.hypot(k_arr, np.sqrt(np.abs(x)))))
+        if gamma <= 1e152:
+            def kick(x):
+                if isinstance(x, float):
+                    return x * (c / (k + np.hypot(k, np.sqrt(abs(x)))))
+                return x * (c_arr / (k_arr + np.hypot(k_arr, np.sqrt(np.abs(x)))))
+        else:
+            # The factor above, about c / sqrt|x|, can underflow here.
+            def kick(x):
+                if isinstance(x, float):
+                    return c * (x / (k + np.hypot(k, np.sqrt(abs(x)))))
+                return c_arr * (x / (k_arr + np.hypot(k_arr, np.sqrt(np.abs(x)))))
 
     else:
         pm1 = p - 1.0

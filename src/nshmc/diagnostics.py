@@ -209,11 +209,12 @@ def _ssim_filter(img: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     The window is separable, so this is one 1-D valid correlation along
     axis 0 and one along axis 1.  g is symmetric, so correlation and
-    convolution agree.
+    convolution agree.  Each pass is an unoptimized einsum, which calls no
+    BLAS, so its bits do not depend on the host's BLAS kernel.
     """
     k = g.size
-    cols = sliding_window_view(img, k, axis=0) @ g
-    return sliding_window_view(cols, k, axis=1) @ g
+    cols = np.einsum("ijk,k->ij", sliding_window_view(img, k, axis=0), g)
+    return np.einsum("ijk,k->ij", sliding_window_view(cols, k, axis=1), g)
 
 
 def ssim(reference: np.ndarray, estimate: np.ndarray) -> float:
@@ -224,7 +225,8 @@ def ssim(reference: np.ndarray, estimate: np.ndarray) -> float:
     Simoncelli 2004).  Local statistics use valid-mode windowing, so both
     images must be at least 11x11.  The window is the outer product of a
     1-D Gaussian, so each local mean is computed as two 1-D valid
-    correlations, one per axis.
+    correlations, one per axis, with no BLAS call: the score has the same
+    bits under every BLAS kernel.
     """
     x = np.asarray(reference, dtype=float)
     y = np.asarray(estimate, dtype=float)

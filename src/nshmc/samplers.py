@@ -161,24 +161,16 @@ def _normal(rng, x):
     return rng.standard_normal(x.size)
 
 
-# OpenBLAS splits a dot product across threads from 10 001 elements up, and
-# the split moves its last bits with the thread count.
-_BLAS_DOT_MAX = 10_000
-
-
 def _sq(v) -> float:
-    """v . v; for a float v * v, the same bits as a one-element v @ v.
+    """v . v; for a float v * v, else numpy's pairwise sum of v * v.
 
-    Above ``_BLAS_DOT_MAX`` elements it is numpy's pairwise sum of v * v,
-    which runs on one thread, so a chain's accept decisions do not depend
-    on the BLAS thread count; up to there BLAS ``@`` is faster and never
-    splits.
+    The sum takes no BLAS, so a chain's accept decisions give the same bits
+    under every OpenBLAS kernel and thread count.  A one-element v gives
+    the float's bits.
     """
     if isinstance(v, float):
         return v * v
-    if v.size > _BLAS_DOT_MAX:
-        return float(np.add.reduce(v * v))
-    return float(v @ v)
+    return float(np.add.reduce(v * v))
 
 
 def integrate_trajectory(

@@ -174,7 +174,7 @@ def test_mse_curve_matches_per_prefix_reference_across_blocks():
 
 
 def test_mse_curve_memory_stays_near_one_height_vector():
-    # At the 2**20-cell limit each end goes alone: 20 ends as one dense
+    # On a 2**20-cell grid each end goes alone: 20 ends as one dense
     # (ends x cells) block would take 160 MB.
     spec = HistogramSpec(bins=32)
     samples = np.random.default_rng(0).standard_normal((2000, 4))
@@ -455,7 +455,7 @@ def test_parser_defaults_match_signature_defaults():
     parser = cli._build_parser()
     defaulted = {
         "exp1": {"eps", "steps", "burn_in", "max_lag"},
-        "exp2": {"eps", "steps", "bins"},
+        "exp2": {"eps", "steps"},
         "exp3": {"eps", "steps", "levels"},
         "sample": {"burn_in", "dim"},
     }
@@ -497,9 +497,6 @@ def test_main_usage_errors_exit_2(tmp_path, monkeypatch):
         argv = ["exp3", "-n", "2", "--burn-in", "0", f"--noise-var={var!r}"]
         assert main([*argv, "--out-dir", str(loud)]) == code
         assert loud.exists() == (code == 0)
-    cells = tmp_path / "cells"
-    assert main(["exp2", "-n", "200", "--bins", "100000", "--out-dir", str(cells)]) == 2
-    assert not cells.exists()
     assert main(["sample", "--sampler", "hmcx", "--out-dir", d]) == 2
     assert main(["sample", "--target", "gg:p=abc", "--out-dir", d]) == 2
     assert main(["sample", "--sampler", "rwmh:std=-1", "--out-dir", d]) == 2
@@ -526,7 +523,7 @@ _SWEEP_COMMANDS = {
     "exp1": (["-n", "200"],
              ["seed", "p", "lam", "iterations", "burn-in", "eps", "steps", "max-lag"]),
     "exp2": (["-n", "200"],
-             ["seed", "dim", "p", "lam", "iterations", "eps", "steps", "bins"]),
+             ["seed", "dim", "p", "lam", "iterations", "eps", "steps"]),
     "exp3": (["-n", "4", "--burn-in", "1"],
              ["seed", "noise-var", "iterations", "burn-in", "eps", "steps", "levels"]),
     "sample": (["-n", "20"],

@@ -13,18 +13,28 @@ draws, its subgradient kernel and sweeps whose trajectories overflow,
 which no command makes, are hashed through the estimate and record that
 ``gibbs_denoise_run`` returns.
 
-The digests assume numpy 2.4.6 on an x86_64 CPU whose SIMD paths give the
-bits that this table was computed with; another numpy or CPU may move the
-last bits of a transcendental function and so every digest.  A change that
-moves a stream on purpose updates its digests in the same diff and writes
-the move up in CHANGES.md; a digest is never regenerated to absorb a move
-that nobody can explain.
+The digests assume numpy 2.4.6 on x86_64.  They depend on numpy's SIMD
+class and not on BLAS, which no seeded path calls.  ``GOLDEN`` holds the
+digests for a host where numpy dispatches float64 ``power`` to X86_V4
+(AVX-512); ``WITHOUT_X86_V4`` holds those that move elsewhere, where
+``exp`` and ``power`` give other last bits.  A subprocess reruns every
+digest under another OpenBLAS kernel and, on an X86_V4 host, with numpy's
+AVX-512 paths disabled, so one host checks both tables.  Another numpy may
+move the last bits of a transcendental function and so every digest.  A
+change that moves a stream on purpose updates its digests in both tables in
+the same diff and writes the move up in CHANGES.md; a digest is never
+regenerated to absorb a move that nobody can explain.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 
 import nshmc.denoise
 from nshmc.cli import main
@@ -54,7 +64,7 @@ GOLDEN = {
     "exp3 -n 20 --burn-in 10": {
         "chain.csv": "637cda43aaabe80e",
         "denoised.pgm": "71932cd0b3356d85",
-        "metrics.csv": "ea5b08fab092adc5",
+        "metrics.csv": "7dd1812acaf4c666",
         "noisy.pgm": "e5856370f8bf9c91",
     },
     "sample --target gg:p=1.5 --sampler nshmc2:eps=0.3,lf=10 --dim 4 -n 500": {
@@ -101,6 +111,26 @@ GOLDEN = {
     },
 }
 
+# The digests that move where numpy's float64 power does not dispatch to
+# X86_V4: exp1's curves through gg_density's exp and power, and the p = 1.2
+# chains through the general-p residual's power.  Computed with
+# NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"; with X86_V3
+# disabled as well the bits are the same.
+WITHOUT_X86_V4 = {
+    "exp1 -n 1000": {"mse_curve.csv": "7a01b27133b3dee6"},
+    "exp1 --p 2 -n 1000": {"mse_curve.csv": "0742bd6ca62ddff7"},
+    "exp1 --p 1.5 -n 1000": {"mse_curve.csv": "29897724b45d7f63"},
+    "sample --target gg:p=1.2 --sampler nshmc2:eps=0.3,lf=10 --dim 3 -n 300": {
+        "chain.csv": "1d0e4e86b1319ee3",
+    },
+    "sample --target gg:p=1.2 --sampler nshmc2:eps=0.3,lf=10 --dim 1 -n 300": {
+        "chain.csv": "070df13a7839a980",
+    },
+}
+
+(_POWER,) = opt_func_info(func_name="^power$", signature="float64")["power"].values()
+X86_V4 = _POWER["current"] == "X86_V4"
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
@@ -114,7 +144,8 @@ def test_cli_outputs_match_golden_digests(run, tmp_path):
         for path in sorted(tmp_path.iterdir())
         if path.name != "manifest.json"
     }
-    assert digests == GOLDEN[run]
+    moved = {} if X86_V4 else WITHOUT_X86_V4.get(run, {})
+    assert digests == {**GOLDEN[run], **moved}
 
 
 def test_denoiser_noise_variance_draws_match_golden_digest():
@@ -163,3 +194,27 @@ def test_denoiser_kernels_match_golden_digests(monkeypatch, kind, epsilon):
         assert all(finite) and 0.0 < record.acceptance_rate < 1.0
     data = estimate.tobytes() + record.samples.tobytes() + record.accepted.tobytes()
     assert _digest(data) == DENOISER_GOLDEN[kind, epsilon]
+
+
+def test_digests_on_another_host():
+    # Every digest in a fresh process under OpenBLAS's Prescott kernel and,
+    # on an X86_V4 host, with numpy's AVX-512 paths disabled: the child must
+    # then be held to the table without X86_V4.
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    if X86_V4:
+        env["NPY_DISABLE_CPU_FEATURES"] = "AVX512_SPR AVX512_ICL X86_V4"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    here = Path(__file__).resolve()
+    child = (
+        "import sys, pytest\n"
+        f"sys.path.insert(0, {str(here.parent)!r})\n"
+        "import test_golden\n"
+        "assert not test_golden.X86_V4\n"
+        f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', {str(here)!r},"
+        " '-k', 'not another_host']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -172,19 +172,8 @@ def test_prox_plus_residual_is_x(kind, s, t):
 
 # ---------------------------------------------------------- p = 3/2 accuracy
 
-# Known defect: the factor c / (k + hypot(k, sqrt|x|)) of the p = 3/2 kick
-# loses its digits where it underflows, at gamma above about 5e153.
-P15_FACTOR_UNDERFLOW = pytest.mark.xfail(
-    strict=True,
-    reason="the p = 3/2 kick's factor c / (k + hypot(k, sqrt|x|)) underflows "
-    "at gamma above about 5e153 (ROADMAP item 13)",
-)
-
-
 @pytest.mark.parametrize(
-    "gamma",
-    [1e-5, 1.0, 1e150, 1e154]
-    + [pytest.param(g, marks=P15_FACTOR_UNDERFLOW) for g in (1e160, 1e300)],
+    "gamma", [1e-5, 1.0, 1e150, 1e153, 1e154, 1e160, 1e200, 1e300, 1.7e308]
 )
 def test_p15_residual_is_within_4_ulp(gamma):
     # The residual is c s with c = 1.5 / gamma and s = 2|x| / (c + sqrt(c**2

@@ -474,6 +474,11 @@ def test_run_chain_record_blocks_join_seamlessly(monkeypatch):
         assert np.array_equal(blocks.energy_error, whole.energy_error)
 
 
+def _sq_sum(v):
+    """v . v as the samplers take it: numpy's pairwise sum of v * v."""
+    return float(np.add.reduce(v * v))
+
+
 def _reference_chain(initial, energy, config):
     """A chain composed step by step from the public pieces, with its own
     Metropolis test.  An HMC transition runs ``leapfrog`` with the kick from
@@ -492,14 +497,14 @@ def _reference_chain(initial, energy, config):
             proposal = std * z
             w = x / std
             log_ratio = float(energy.value(x)) - float(energy.value(proposal))
-            log_ratio += 0.5 * (float(z @ z) - float(w @ w))
+            log_ratio += 0.5 * (_sq_sum(z) - _sq_sum(w))
         else:
             q = rng.standard_normal(x.size)
             kick = select_kick(energy, config.kind, rng)
             lf = config.leapfrog
             proposal, qp = leapfrog(x.copy(), q.copy(), kick, lf.epsilon, lf.steps)
-            h0 = float(energy.value(x)) + 0.5 * float(q @ q)
-            h1 = float(energy.value(proposal)) + 0.5 * float(qp @ qp)
+            h0 = float(energy.value(x)) + 0.5 * _sq_sum(q)
+            h1 = float(energy.value(proposal)) + 0.5 * _sq_sum(qp)
             log_ratio = h0 - h1
             errors.append(h1 - h0)
         ok = math.log(rng.random()) < log_ratio
